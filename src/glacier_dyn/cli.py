@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -100,8 +101,8 @@ def _require_model(model: ModelParams | None) -> ModelParams:
 
 def _resolve_mu(args, scales: Scales | None) -> float:
     if args.mu is not None:
-        if not args.mu > 0:
-            raise ConfigError(f"--mu must be positive, got {args.mu}")
+        if not (math.isfinite(args.mu) and args.mu > 0):
+            raise ConfigError(f"--mu must be finite and positive, got {args.mu}")
         return args.mu
     return scales.mu if scales is not None else 1.0
 
@@ -221,6 +222,8 @@ def cmd_simulate(args) -> int:
     for name in ("theta0", "lam0", "t_end"):
         if getattr(args, name) is None:
             raise ConfigError(f"simulate needs --{name.replace('_', '-')}")
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        raise ConfigError(f"--t-end must be finite and positive, got {args.t_end}")
     if args.dimensional and scales is None:
         raise ConfigError("--dimensional needs a 'physical' block for the scales")
     try:
@@ -259,6 +262,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --mu-min and --mu-max")
     if not 0 < args.mu_min < args.mu_max:
         raise ConfigError("need 0 < --mu-min < --mu-max")
+    if args.mu_steps < 1:
+        raise ConfigError(f"--mu-steps must be at least 1, got {args.mu_steps}")
     step = (args.mu_max - args.mu_min) / max(args.mu_steps - 1, 1)
     grid = [args.mu_min + i * step for i in range(args.mu_steps)]
     diagram = sweep_mu(model, grid, detect_cycles=args.cycles)

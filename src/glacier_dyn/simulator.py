@@ -1,10 +1,15 @@
 """Time integration, limit-cycle detection, and mu sweeps.
 
-The integrator is an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45)
-with event location on dense output. The full model is integrated piecewise:
-within a segment the mass-balance regime is fixed, and each regime arms only
-the events for boundaries it can actually leave through, so a restart exactly
-on a boundary zero cannot re-trigger the crossing just handled.
+`integrate` chooses its method from mu. theta relaxes about mu times faster
+than lambda, so for large mu an explicit step is capped by stability rather
+than accuracy. Up to STIFF_MU it uses an adaptive embedded Runge-Kutta 5(4)
+pair (scipy's RK45); above it, the implicit Radau IIA method of order 5, with
+the analytic Jacobian for the simplified model and finite differences for
+the full one. Either way events are located on dense output. The full
+model is integrated piecewise: within a segment the mass-balance regime is
+fixed, and each regime arms only the events for boundaries it can actually
+leave through, so a restart exactly on a boundary zero cannot re-trigger the
+crossing just handled.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .model import (
 from .stability import Classification, classify, jacobian
 
 LAMBDA_FLOOR = 1e-12
+# Above this mu the temperature equation makes the system stiff enough that
+# Radau beats RK45; the measured cost crossover lies between mu = 30 and 100.
+STIFF_MU = 100.0
 _MAX_SEGMENTS = 10_000
 _NUDGE = 1e-11
 
@@ -104,6 +112,31 @@ def _make_rhs_simplified(params: ModelParams, mu: float):
         return (dtheta, dlam)
 
     return rhs
+
+
+def _make_jac_simplified(params: ModelParams, mu: float):
+    """Analytic Jacobian of _make_rhs_simplified's field, for implicit solvers."""
+    gm = params.gamma
+    dtheta_dlam = -mu * gm * params.alpha2
+
+    def jac(t, y):
+        theta, lam = y
+        root = math.sqrt(max(lam, LAMBDA_FLOOR))
+        xi = response_eval(params.accum, theta, 0)
+        dalb = response_eval(params.albedo, theta, 1)
+        dxi = response_eval(params.accum, theta, 1)
+        bracket = (1.0 + xi) * (1.0 - 4.0 * lam) - 1.0
+        return np.array(
+            [
+                [-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam],
+                [
+                    root * (1.0 - 4.0 * lam) * dxi,
+                    bracket / (2.0 * root) - 4.0 * root * (1.0 + xi),
+                ],
+            ]
+        )
+
+    return jac
 
 
 def _make_rhs_full(params: ModelParams, mu: float, regime: Regime):
@@ -205,27 +238,36 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the initial state up to tau = t_end.
 
-    The simplified model runs in one solver call; the full model restarts at
-    every located regime-boundary crossing, nudging the state one tiny Euler
-    step into the new regime so the next segment starts strictly off the
-    boundary. Either model terminates early when lambda reaches the floor.
+    The method follows mu: RK45 up to STIFF_MU, Radau above it (see the
+    module docstring). The simplified model runs in one solver call; the
+    full model restarts at every located regime-boundary crossing, nudging
+    the state one tiny Euler step into the new regime so the next segment
+    starts strictly off the boundary. Either model terminates early when
+    lambda reaches the floor. A non-finite or non-positive mu raises
+    DomainError.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not 1e-14 <= tol <= 1e-3:
             raise ValueError(f"{name} must lie in [1e-14, 1e-3], got {tol}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and positive, got {mu}")
+    stiff = mu > STIFF_MU
+    method = "Radau" if stiff else "RK45"
 
     if model is ModelKind.SIMPLIFIED:
         rhs = _make_rhs_simplified(params, mu)
+        extra = {"jac": _make_jac_simplified(params, mu)} if stiff else {}
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
             (initial.theta, initial.lam),
-            method="RK45",
+            method=method,
             rtol=rel_tol,
             atol=abs_tol,
             events=[_floor_event],
+            **extra,
         )
         _check_solver_status(sol, sol.y[:, -1])
         terminated = (
@@ -250,7 +292,7 @@ def integrate(
         rhs = _make_rhs_full(params, mu, regime)
         events, targets = _segment_events(params, regime)
         sol = solve_ivp(
-            rhs, (t0, t_end), y0, method="RK45", rtol=rel_tol, atol=abs_tol,
+            rhs, (t0, t_end), y0, method=method, rtol=rel_tol, atol=abs_tol,
             events=events,
         )
         _check_solver_status(sol, sol.y[:, -1])

@@ -165,6 +165,29 @@ class TestSimulate:
                           "--theta0", "1.3", "--lam0", "0.05")
         assert code == 2  # no --t-end
 
+    @pytest.mark.parametrize("t_end", ["0", "-1", "inf", "nan"])
+    def test_bad_t_end_exits_2(self, capsys, t_end):
+        code, _ = run_cli(capsys, "simulate", "--params", HOPF,
+                          "--theta0", "1.3", "--lam0", "0.05",
+                          "--t-end", t_end)
+        assert code == 2
+
+    @pytest.mark.parametrize("mu", ["inf", "nan"])
+    def test_non_finite_mu_exits_2(self, capsys, mu):
+        code, _ = run_cli(capsys, "simulate", "--params", HOPF, "--mu", mu,
+                          "--theta0", "1.3", "--lam0", "0.05", "--t-end", "1")
+        assert code == 2
+
+    def test_table1_stiff_run_writes_few_rows(self, capsys):
+        # Physical mu ~ 1.8e5 takes the Radau path; RK45 wrote ~1e5 rows here.
+        code, out = run_cli(capsys, "simulate", "--params", TABLE1,
+                            "--theta0", "1.1", "--lam0", "0.02",
+                            "--t-end", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) < 200
+        assert float(rows[-1][0]) == 2.0
+
     def test_bad_initial_state_rejected(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--params", HOPF,
                           "--theta0", "1.3", "--lam0", "-0.1",
@@ -269,6 +292,12 @@ class TestSweep:
         assert code == 2
         code, _ = run_cli(capsys, "sweep", "--params", HOPF,
                           "--mu-min", "2.0", "--mu-max", "1.0")
+        assert code == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_mu_steps_exits_2(self, capsys, steps):
+        code, _ = run_cli(capsys, "sweep", "--params", HOPF, "--mu-min", "1.0",
+                          "--mu-max", "2.0", "--mu-steps", steps)
         assert code == 2
 
     def test_json_format(self, capsys):

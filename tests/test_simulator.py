@@ -18,8 +18,10 @@ from glacier_dyn import (
     sweep_mu,
     vector_field,
 )
+from glacier_dyn import simulator
 from glacier_dyn.errors import DomainError
 from glacier_dyn.model import lambda0
+from glacier_dyn.oracle import fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination
 
 
@@ -34,6 +36,17 @@ class TestIntegrateValidation:
             integrate(hopf_model, 1.0, State(1.3, 0.05), 0.0)
         with pytest.raises(ValueError, match="t_end"):
             integrate(hopf_model, 1.0, State(1.3, 0.05), -5.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, hopf_model, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(hopf_model, 1.0, State(1.3, 0.05), t_end)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_mu_rejected(self, hopf_model, mu, kind):
+        with pytest.raises(DomainError, match="mu"):
+            integrate(hopf_model, mu, State(1.3, 0.05), 1.0, model=kind)
 
     @pytest.mark.parametrize("kwargs", [{"rel_tol": 1e-2}, {"rel_tol": 1e-15},
                                         {"abs_tol": 1e-2}, {"abs_tol": 1e-15}])
@@ -168,6 +181,58 @@ class TestFullModel:
             grid, full.times, full.lams)
         sup = float(np.max(np.maximum(np.abs(d_th), np.abs(d_lm))))
         assert sup <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# integrate: the stiff (Radau) path above STIFF_MU
+# ---------------------------------------------------------------------------
+
+
+def _switches(traj):
+    return [(float(traj.times[i]), float(traj.lams[i]), traj.regimes[i])
+            for i in range(1, len(traj.times))
+            if traj.regimes[i] != traj.regimes[i - 1]]
+
+
+class TestStiffPath:
+    @pytest.mark.parametrize("mu", [1.0, 300.0, 1.8e5])
+    def test_analytic_jacobian_matches_finite_differences(self, hopf_model, mu):
+        jac = simulator._make_jac_simplified(hopf_model, mu)
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            theta = float(rng.uniform(1.3, 1.55))
+            lam = float(rng.uniform(0.005, 0.24))
+            got = jac(0.0, (theta, lam))
+            fd = fd_jacobian(hopf_model, mu, State(theta, lam))
+            want = np.array([[fd.a11, fd.a12], [fd.a21, fd.a22]])
+            np.testing.assert_allclose(got, want, rtol=1e-6,
+                                       atol=1e-8 * max(mu, 1.0))
+
+    @pytest.mark.parametrize("kind, eps, start, t_end", [
+        (ModelKind.SIMPLIFIED, None, (1.40, 0.05), 10.0),
+        (ModelKind.FULL, -0.018, (1.39, 0.0045), 30.0),
+    ])
+    def test_radau_matches_tight_rk45(self, hopf_model, monkeypatch,
+                                      kind, eps, start, t_end):
+        params = hopf_model if eps is None else hopf_model.with_overrides(
+            epsilon=eps)
+        mu = 300.0
+        assert mu > simulator.STIFF_MU
+        stiff = integrate(params, mu, State(*start), t_end, model=kind)
+        monkeypatch.setattr(simulator, "STIFF_MU", math.inf)
+        ref = integrate(params, mu, State(*start), t_end, model=kind,
+                        rel_tol=1e-12, abs_tol=1e-14)
+        assert len(stiff.times) < len(ref.times) / 2
+        assert stiff.terminated is ref.terminated is Termination.TIME_LIMIT
+        assert stiff.thetas[-1] == pytest.approx(ref.thetas[-1], abs=1e-8)
+        assert stiff.lams[-1] == pytest.approx(ref.lams[-1], abs=1e-8)
+        if kind is ModelKind.FULL:
+            got, want = _switches(stiff), _switches(ref)
+            assert [r for *_, r in got] == [r for *_, r in want]
+            assert got, "expected the nucleation-to-accumulating restart"
+            for (t_a, lam_a, _), (t_b, lam_b, _) in zip(got, want):
+                assert t_a == pytest.approx(t_b, abs=1e-8)
+                assert lam_a == pytest.approx(lam_b, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
