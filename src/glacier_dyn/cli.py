@@ -260,8 +260,8 @@ def cmd_sweep(args) -> int:
     model = _require_model(model)
     if args.mu_min is None or args.mu_max is None:
         raise ConfigError("sweep needs --mu-min and --mu-max")
-    if not 0 < args.mu_min < args.mu_max:
-        raise ConfigError("need 0 < --mu-min < --mu-max")
+    if not (0 < args.mu_min < args.mu_max and math.isfinite(args.mu_max)):
+        raise ConfigError("need 0 < --mu-min < --mu-max, both finite")
     if args.mu_steps < 1:
         raise ConfigError(f"--mu-steps must be at least 1, got {args.mu_steps}")
     step = (args.mu_max - args.mu_min) / max(args.mu_steps - 1, 1)

@@ -94,6 +94,13 @@ def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
     return float(res) if np.isscalar(x) else res
 
 
+def _require_finite(record, names) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SigmoidResponse:
     """Bounded monotone response theta -> value between two saturation limits.
@@ -111,6 +118,7 @@ class SigmoidResponse:
     family: SigmoidFamily = SigmoidFamily.TANH
 
     def __post_init__(self):
+        _require_finite(self, ("limit_minus", "limit_plus", "center", "steepness"))
         if not self.steepness > 0:
             raise ConfigError(f"steepness must be positive, got {self.steepness}")
 
@@ -209,6 +217,7 @@ class PhysicalParams:
     a_rate: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self) if f.name not in ("albedo", "accum")])
         for name in ("Q", "B", "tau0", "rho_i", "grav", "c", "m_rate"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -248,6 +257,7 @@ class ModelParams:
     accum: SigmoidResponse
 
     def __post_init__(self):
+        _require_finite(self, ("beta", "gamma", "alpha1", "alpha2", "epsilon"))
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if not 0.0 < self.gamma < 1.0:
@@ -305,10 +315,10 @@ class State:
     lam: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise DomainError(f"theta must be positive, got {self.theta}")
-        if not self.lam > 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not (self.theta > 0 and math.isfinite(self.theta)):
+            raise DomainError(f"theta must be finite and positive, got {self.theta}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise DomainError(f"lambda must be finite and positive, got {self.lam}")
 
 
 @dataclass(frozen=True)

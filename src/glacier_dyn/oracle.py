@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.optimize import bisect, minimize_scalar
 
 from .equilibria import (
@@ -308,6 +309,32 @@ def grid_max_lambda0(epsilon: float) -> tuple[float, float]:
         )
         lam_max = float(res.x)
     return float(lam_max), float(lambda0(lam_max, epsilon))
+
+
+def direct_cycle(
+    params: ModelParams, mu: float, cp: CriticalPoint, t_end: float = 100.0
+) -> tuple[float, float, float]:
+    """(period, amplitude_theta, amplitude_lambda) of the attracting cycle
+    around cp: the second route for simulator.poincare_cycle, too slow for
+    `verify`. Integrates model.vector_field (DOP853) from 1e-3 off cp in
+    theta to t_end and samples the last lap between rising crossings of
+    theta = theta_c at 20,001 points, so it is exact once transients decay.
+    """
+
+    def section(t, y):
+        return y[0] - cp.theta_c
+
+    section.direction = 1
+    sol = solve_ivp(
+        lambda t, y: vector_field(params, mu, State(theta=y[0], lam=y[1])), (0.0, t_end),
+        (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853", rtol=1e-10, atol=1e-12,
+        events=[section], dense_output=True,
+    )
+    if len(sol.t_events[0]) < 2:
+        raise OracleMismatch(f"no lap around theta_c = {cp.theta_c} by tau = {t_end}")
+    t0, t1 = sol.t_events[0][-2:]
+    theta, lam = sol.sol(np.linspace(t0, t1, 20_001))
+    return float(t1 - t0), 0.5 * float(np.ptp(theta)), 0.5 * float(np.ptp(lam))
 
 
 # --- randomized admissible draws (shared by tests and cmd_verify) ---

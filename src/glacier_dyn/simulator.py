@@ -10,6 +10,9 @@ model is integrated piecewise: within a segment the mass-balance regime is
 fixed, and each regime arms only the events for boundaries it can actually
 leave through, so a restart exactly on a boundary zero cannot re-trigger the
 crossing just handled.
+
+Limit cycles are shot, not waited for: Newton's method on the return map of
+a section (Kuznetsov, Elements of Applied Bifurcation Theory, 3.5 and 10.3).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .equilibria import CriticalPoint, find_equilibria
-from .errors import DomainError, StiffnessError
+from .errors import DomainError, GlacierDynError, StiffnessError
 from .model import (
     ModelParams,
     Regime,
@@ -31,7 +34,7 @@ from .model import (
     nullcline_g,
     response_eval,
 )
-from .stability import Classification, classify, jacobian
+from .stability import Classification, classify, hopf_analysis, jacobian
 
 LAMBDA_FLOOR = 1e-12
 # Above this mu the temperature equation makes the system stiff enough that
@@ -39,6 +42,14 @@ LAMBDA_FLOOR = 1e-12
 STIFF_MU = 100.0
 _MAX_SEGMENTS = 10_000
 _NUDGE = 1e-11
+# Cycle shooting: tolerance, Newton's stop (a step below _SHOOT_XTOL * lambda_c),
+# the lap length, in periods 2*pi/sqrt(det J), past which an orbit escaped,
+# and the laps Newton may take from the normal form (near a fold of cycles,
+# where the multiplier nears 1, it needs 9).
+_SHOOT_RTOL = 1e-11
+_SHOOT_XTOL = 1e-10
+_LAP_CAP = 4.0
+_NEWTON_LAPS = 12
 
 
 class ModelKind(enum.Enum):
@@ -73,11 +84,18 @@ class Trajectory:
 
 @dataclass
 class LimitCycle:
+    """A periodic orbit. section_points are the start and the return of its
+    lap on the section {theta = theta_c, rising}; multiplier is the
+    nontrivial Floquet multiplier (below 1 the cycle attracts, above 1 it
+    repels); laps counts every lap the hunt integrated."""
+
     period: float
     amplitude_theta: float
     amplitude_lambda: float
     section_points: list[State]
     converged: bool
+    multiplier: float
+    laps: int
 
 
 @dataclass(frozen=True)
@@ -336,119 +354,142 @@ def integrate(
     )
 
 
-def _perturbation_direction(
-    cp: CriticalPoint, mu: float, alpha2: float, gamma: float
-) -> tuple[float, float]:
-    jac = jacobian(cp, mu, alpha2, gamma)
-    m = np.array([[jac.a11, jac.a12], [jac.a21, jac.a22]])
-    vals, vecs = np.linalg.eig(m)
-    i = int(np.argmax(vals.real))
-    v = np.real(vecs[:, i])
-    n = float(np.hypot(v[0], v[1]))
-    if n < 1e-12:
-        return 1.0, 0.0
-    return float(v[0] / n), float(v[1] / n)
+def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, budget: float):
+    """lap(lam): one lap of the return map of {theta = theta_c, rising} as an
+    unconverged LimitCycle, or None when the orbit escapes: when the lap
+    outlasts cap, reaches the lambda floor, or the hunt has spent budget.
+
+    The flow runs with its variational equation for d/dlam to the falling,
+    then the rising crossing. dP/dlam is the variation's lambda-row less the
+    return-time shift, (dlambda/dtau)/(dtheta/dtau) times its theta-row.
+    Turning points (lambda = f(theta), lambda = g(theta)) give the amplitudes.
+    """
+    rhs = _make_rhs_simplified(params, mu)
+    jac = _make_jac_simplified(params, mu)
+    spent = [0.0, 0]  # time integrated, laps
+
+    def flow(t, y):
+        (a, b), (c, d) = jac(t, y[:2])
+        return (*rhs(t, y[:2]), a * y[2] + b * y[3], c * y[2] + d * y[3])
+
+    def crossing(t, y):
+        return y[0] - cp.theta_c
+
+    def theta_turn(t, y):
+        return nullcline_f(params, y[0]) - y[1]
+
+    def lam_turn(t, y):
+        return nullcline_g(params, y[0]) - y[1]
+
+    crossing.terminal = True
+    events = [crossing, _floor_event, theta_turn, lam_turn]
+
+    def lap(lam: float) -> LimitCycle | None:
+        spent[1] += 1
+        y, t, t_max = (cp.theta_c, lam, 0.0, 1.0), 0.0, min(cap, budget - spent[0])
+        if t_max <= 0:
+            return None
+        thetas, lams = [cp.theta_c], [lam]
+        for direction in (-1, 1):
+            crossing.direction = direction
+            sol = solve_ivp(flow, (t, t_max), y, method="DOP853", rtol=_SHOOT_RTOL,
+                            atol=_SHOOT_RTOL * 1e-2, events=events)
+            _check_solver_status(sol, sol.y[:, -1])
+            spent[0] += float(sol.t[-1]) - t
+            thetas += [v[0] for v in sol.y_events[2]]
+            lams += [v[1] for v in sol.y_events[3]]
+            if not len(sol.t_events[0]):
+                return None
+            t, y = float(sol.t_events[0][0]), sol.y_events[0][0]
+        dtheta, dlam = rhs(t, y[:2])
+        return LimitCycle(
+            period=t,
+            amplitude_theta=0.5 * float(max(thetas) - min(thetas)),
+            amplitude_lambda=0.5 * float(max(lams) - min(lams)),
+            section_points=[State(cp.theta_c, lam), State(cp.theta_c, float(y[1]))],
+            converged=False,
+            multiplier=float(y[3] - dlam / dtheta * y[2]),
+            laps=spent[1],
+        )
+
+    return lap
+
+
+def _normal_form_start(params: ModelParams, mu: float, cp: CriticalPoint) -> float | None:
+    """Section lambda of the Hopf normal-form cycle, None where it has none.
+
+    In the rotation chart of the critical eigenvector (psi = lambda -
+    lambda_c) the cycle is a circle of radius r, r^2 = -2 d (mu - mu0) /
+    (omega0 l1) with the transversality d and this package's l1. Its rising
+    crossing of theta = theta_c lies r*sqrt(1 - f'/g') below lambda_c.
+    """
+    try:
+        hopf = hopf_analysis(cp, params.alpha2, params.gamma)
+    except GlacierDynError:
+        return None
+    r2 = -2.0 * hopf.transversality * (mu - hopf.mu0) / (hopf.omega0 * hopf.l1) if hopf.l1 else 0.0
+    return cp.lambda_c - math.sqrt(r2 * (1.0 - cp.f1 / cp.g1)) if r2 > 0 else None
 
 
 def poincare_cycle(
     params: ModelParams,
     mu: float,
     cp: CriticalPoint,
-    transient: float = 200.0,
-    max_time: float = 20_000.0,
-    tol: float = 1e-7,
-    delta: float = 1e-3,
+    max_time: float = 200.0,
 ) -> LimitCycle | None:
-    """Hunt a limit cycle around cp via the section {theta = theta_c, rising}.
+    """Limit cycle around cp by Newton shooting on the section
+    {theta = theta_c, rising}, where lambda < lambda_c.
 
-    Starts a trajectory delta off cp along the most unstable eigendirection,
-    records upward section crossings after the transient, and declares
-    convergence when three consecutive crossing-to-crossing distances in
-    lambda drop below tol. Returns None when the orbit spirals into the point
-    or the time budget runs out first.
+    Newton solves P(lam) = lam for the return map P, starting from the Hopf
+    normal form. If it leaves its basin, a geometric scan of P(lam) - lam outward
+    from lambda_c brackets a root for Newton safeguarded by bisection. Stable
+    and unstable cycles are found alike. Returns None for a saddle (no closed
+    orbit surrounds one alone), when the scan finds no sign change before the
+    orbit escapes, when Newton does not converge, or once max_time time units
+    are integrated.
     """
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
-    dx, dy = _perturbation_direction(cp, mu, params.alpha2, params.gamma)
-    y = (cp.theta_c + delta * dx, cp.lambda_c + delta * dy)
-    if y[1] <= 0:
-        y = (cp.theta_c + delta, cp.lambda_c)
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and positive, got {mu}")
+    if not max_time > 0:
+        raise ValueError(f"max_time must be positive, got {max_time}")
+    det = jacobian(cp, mu, params.alpha2, params.gamma).det
+    if not det > 0:
+        return None
+    lam_c = cp.lambda_c
+    lap = _make_lap(params, mu, cp, _LAP_CAP * 2.0 * math.pi / math.sqrt(det), max_time)
 
-    rhs = _make_rhs_simplified(params, mu)
-
-    def section(t, yy):
-        return yy[0] - cp.theta_c
-
-    section.terminal = False
-    section.direction = 1
-
-    cross_t: list[float] = []
-    cross_lam: list[float] = []
-    t_cur = 0.0
-    chunk = min(500.0, max_time)
-    converged = False
-    while t_cur < max_time:
-        sol = solve_ivp(
-            rhs,
-            (t_cur, min(t_cur + chunk, max_time)),
-            y,
-            method="RK45",
-            rtol=1e-9,
-            atol=1e-11,
-            events=[_floor_event, section],
-        )
-        _check_solver_status(sol, sol.y[:, -1])
-        if sol.status == 1:
-            return None  # hit the lambda floor
-        cross_t.extend(float(t) for t in sol.t_events[1])
-        cross_lam.extend(float(v[1]) for v in sol.y_events[1])
-        y = (float(sol.y[0, -1]), float(sol.y[1, -1]))
-        t_cur = float(sol.t[-1])
-
-        post = [i for i, t in enumerate(cross_t) if t >= transient]
-        if len(post) >= 4:
-            lam_tail = [cross_lam[i] for i in post[-4:]]
-            if all(abs(l - cp.lambda_c) < 1e-8 for l in lam_tail):
-                return None  # spiraled into the equilibrium
-        if len(post) >= 6:
-            diffs = [
-                abs(cross_lam[post[k + 1]] - cross_lam[post[k]])
-                for k in range(len(post) - 1)
-            ]
-            if all(d < tol for d in diffs[-3:]):
-                converged = True
-                break
-    if not converged:
+    def newton(lam: float, bracket: list | None, laps: int) -> LimitCycle | None:
+        # Unbracketed, keep 1e-6 * lambda_c off the focus, a trivial fixed point.
+        for _ in range(laps):
+            if bracket:
+                (lo, _), (hi, _) = sorted(bracket)
+                lam = lam if lo < lam < hi else 0.5 * (lo + hi)
+            elif not 0.0 < lam < lam_c * (1.0 - 1e-6):
+                return None
+            if (cycle := lap(lam)) is None:
+                return None
+            disp = cycle.section_points[1].lam - lam
+            step = -disp / (cycle.multiplier - 1.0)
+            if abs(step) <= _SHOOT_XTOL * lam_c:
+                cycle.converged = True
+                return cycle
+            if bracket:
+                bracket = [b for b in bracket if (b[1] > 0) != (disp > 0)] + [(lam, disp)]
+            lam += step
         return None
 
-    idx = [i for i, t in enumerate(cross_t) if t >= transient]
-    tail = idx[-6:]
-    periods = [cross_t[tail[k + 1]] - cross_t[tail[k]] for k in range(len(tail) - 1)]
-    period = float(np.mean(periods))
-
-    # One clean lap from the last crossing for the amplitude measurement.
-    start = (cp.theta_c, cross_lam[idx[-1]])
-    lap = solve_ivp(
-        rhs,
-        (0.0, period),
-        start,
-        method="RK45",
-        rtol=1e-9,
-        atol=1e-11,
-        t_eval=np.linspace(0.0, period, 2001),
-    )
-    amp_theta = 0.5 * float(lap.y[0].max() - lap.y[0].min())
-    amp_lam = 0.5 * float(lap.y[1].max() - lap.y[1].min())
-    section_states = [
-        State(theta=cp.theta_c, lam=cross_lam[i]) for i in idx[-50:]
-    ]
-    return LimitCycle(
-        period=period,
-        amplitude_theta=amp_theta,
-        amplitude_lambda=amp_lam,
-        section_points=section_states,
-        converged=True,
-    )
+    lam = _normal_form_start(params, mu, cp)
+    if lam is not None and (cycle := newton(lam, None, _NEWTON_LAPS)) is not None:
+        return cycle
+    prev, s = None, 1e-4 * lam_c
+    while s < lam_c:
+        if (cycle := lap(lam_c - s)) is None:
+            return None
+        here = (lam_c - s, cycle.section_points[1].lam - (lam_c - s))
+        if prev is not None and (here[1] > 0) != (prev[1] > 0):
+            return newton(here[0] - here[1] / (cycle.multiplier - 1.0), [prev, here], 40)
+        prev, s = here, 8.0 * s
+    return None
 
 
 def amplitude_curve(
@@ -470,9 +511,6 @@ def sweep_mu(
     mu_grid: list[float],
     cp: CriticalPoint | None = None,
     detect_cycles: bool = False,
-    transient: float = 100.0,
-    max_time: float = 2_000.0,
-    tol: float = 1e-6,
 ) -> BifurcationDiagram:
     """Classification (and optional cycle data) along a mu grid.
 
@@ -504,9 +542,7 @@ def sweep_mu(
             Classification.UNSTABLE_FOCUS,
             Classification.HOPF_CENTER,
         ):
-            cycle = poincare_cycle(
-                params, mu, cp, transient=transient, max_time=max_time, tol=tol
-            )
+            cycle = poincare_cycle(params, mu, cp)
             if cycle is not None:
                 period = cycle.period
                 amp_t = cycle.amplitude_theta

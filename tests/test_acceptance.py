@@ -211,6 +211,7 @@ def test_c07_limit_cycle_dimensional_period(table1_model, table1_scales):
 def test_c08_normal_form_amplitude_scaling(hopf_model, hopf_cp):
     th = gd.mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
     assert lyapunov_l1(hopf_cp, hopf_model.alpha2, hopf_model.gamma) < 0
+    hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
     delta = 1e-3
     t0 = time.perf_counter()
     near = gd.poincare_cycle(hopf_model, th.mu0 * (1 + delta), hopf_cp)
@@ -219,9 +220,18 @@ def test_c08_normal_form_amplitude_scaling(hopf_model, hopf_cp):
     ok = near is not None and far is not None
     if ok:
         ratio = far.amplitude_theta / near.amplitude_theta
-        ok = abs(ratio / 2.0 - 1.0) <= 0.20
+        # Normal form: radius r in the (lambda - lambda_c, kappa) rotation
+        # chart with r^2 = -2 d (mu - mu0) / (omega0 l1); theta swings by
+        # r / sqrt(f' g') about theta_c.
+        r = math.sqrt(-2.0 * hopf.transversality * delta * th.mu0
+                      / (hopf.omega0 * hopf.l1))
+        predicted = r / math.sqrt(hopf_cp.f1 * hopf_cp.g1)
+        gap = abs(near.amplitude_theta / predicted - 1.0)
+        ok = abs(ratio / 2.0 - 1.0) <= 0.20 and gap <= 2e-3
         detail = (f"amplitude ratio {ratio:.3f} vs sqrt(4delta/delta) = 2 "
-                  f"(20% band)")
+                  f"(20% band); theta amplitude {near.amplitude_theta:.5g} "
+                  f"vs normal form {predicted:.5g} (gap {gap:.1e}, bound "
+                  f"2e-3)")
     else:
         detail = "cycle detection failed near onset"
     record(8, ok, elapsed, 60.0, detail)

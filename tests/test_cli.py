@@ -194,6 +194,13 @@ class TestSimulate:
                           "--t-end", "1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("theta0, lam0", [("inf", "0.05"), ("nan", "0.05"),
+                                              ("1.3", "inf")])
+    def test_non_finite_initial_state_exits_2(self, capsys, theta0, lam0):
+        code, _ = run_cli(capsys, "simulate", "--params", HOPF,
+                          "--theta0", theta0, "--lam0", lam0, "--t-end", "1")
+        assert code == 2
+
     def test_equilibrium_start_constant_columns(self, capsys, hopf_cp):
         code, out = run_cli(capsys, "simulate", "--params", HOPF,
                             "--mu", "0.1",
@@ -300,6 +307,13 @@ class TestSweep:
                           "--mu-max", "2.0", "--mu-steps", steps)
         assert code == 2
 
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("nan", "2"),
+                                        ("1", "nan")])
+    def test_non_finite_grid_bounds_exit_2(self, capsys, lo, hi):
+        code, _ = run_cli(capsys, "sweep", "--params", HOPF,
+                          "--mu-min", lo, "--mu-max", hi)
+        assert code == 2
+
     def test_json_format(self, capsys):
         code, out = run_cli(capsys, "sweep", "--params", HOPF,
                             "--mu-min", "0.5", "--mu-max", "1.0",
@@ -355,6 +369,15 @@ class TestVerify:
         _, second = run_cli(capsys, "verify", "--params", HOPF,
                             "--seed", "42")
         assert first == second
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("key", ["model.alpha1", "model.epsilon",
+                                 "model.accum.center"])
+def test_nan_parameter_exits_2(capsys, command, key):
+    code, out = run_cli(capsys, command, "--params", HOPF, "--set", f"{key}=NaN")
+    assert code == 2
+    assert out == ""
 
 
 class TestOutput:

@@ -69,6 +69,34 @@ def test_model_params_validation(hopf_model):
         )
 
 
+_MODEL_FLOATS = ("beta", "gamma", "alpha1", "alpha2", "epsilon")
+_CURVE_FLOATS = ("limit_minus", "limit_plus", "center", "steepness")
+_PHYSICAL_FLOATS = ("Q", "gamma", "A", "B", "tau0", "rho_i", "s", "h0", "c",
+                    "m_rate", "alpha1", "alpha2", "grav", "a_rate")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _MODEL_FLOATS)
+def test_model_params_reject_non_finite(hopf_model, name, value):
+    with pytest.raises(gd.ConfigError, match=f"{name} must be finite"):
+        hopf_model.with_overrides(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", _CURVE_FLOATS)
+def test_sigmoid_response_rejects_non_finite(hopf_model, name, value):
+    curve = {**hopf_model.accum.to_dict(), name: value}
+    with pytest.raises(gd.ConfigError, match=f"{name} must be finite"):
+        gd.SigmoidResponse.from_dict(curve)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _PHYSICAL_FLOATS)
+def test_physical_params_reject_non_finite(table1_physical, name, value):
+    with pytest.raises(gd.ConfigError, match=f"{name} must be finite"):
+        gd.PhysicalParams(**{**_as_kwargs(table1_physical), name: value})
+
+
 def test_model_with_overrides_returns_new_instance(hopf_model):
     other = hopf_model.with_overrides(beta=0.9)
     assert other.beta == 0.9
@@ -85,6 +113,13 @@ def test_state_validation():
         gd.State(theta=1.0, lam=-0.1)
     # lambda above 1/4 is legal: the full model reaches it
     gd.State(theta=1.0, lam=0.3)
+
+
+@pytest.mark.parametrize("theta, lam", [(math.inf, 0.1), (math.nan, 0.1),
+                                        (1.0, math.inf), (1.0, math.nan)])
+def test_state_rejects_non_finite(theta, lam):
+    with pytest.raises(gd.DomainError, match="finite"):
+        gd.State(theta=theta, lam=lam)
 
 
 def test_sheet_height_scale_example():

@@ -2,8 +2,11 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from glacier_dyn import (
     Classification,
@@ -12,6 +15,7 @@ from glacier_dyn import (
     classify,
     critical_point_at,
     find_equilibria,
+    hopf_analysis,
     integrate,
     mu_thresholds,
     poincare_cycle,
@@ -21,7 +25,7 @@ from glacier_dyn import (
 from glacier_dyn import simulator
 from glacier_dyn.errors import DomainError
 from glacier_dyn.model import lambda0
-from glacier_dyn.oracle import fd_jacobian
+from glacier_dyn.oracle import direct_cycle, fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination
 
 
@@ -260,8 +264,115 @@ class TestPoincareCycle:
         assert cycle.amplitude_lambda > 0
         assert all(p.theta == hopf_cp.theta_c for p in cycle.section_points)
         gaps = [abs(b.lam - a.lam) for a, b in
-                zip(cycle.section_points[-4:], cycle.section_points[-3:])]
-        assert all(g < 1e-7 for g in gaps)
+                zip(cycle.section_points, cycle.section_points[1:])]
+        assert gaps and all(g < 1e-7 for g in gaps)
+
+
+    def test_window_cycle_attracts(self, hopf_model, hopf_cp):
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        cycle = poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp)
+        assert cycle is not None
+        assert 0.0 < cycle.multiplier < 1.0
+        assert cycle.laps <= 8
+        start, back = cycle.section_points
+        assert start.lam < hopf_cp.lambda_c
+        assert abs(back.lam - start.lam) <= 1e-10
+
+    def test_multiplier_is_exp_of_divergence_integral(self, hopf_model,
+                                                      hopf_cp):
+        # Liouville: for a planar cycle the nontrivial multiplier is
+        # exp(integral of div f over one period), here with a
+        # finite-difference divergence of model.vector_field.
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        mu = 1.16 * th.mu0
+        cycle = poincare_cycle(hopf_model, mu, hopf_cp)
+
+        def field(theta, lam):
+            return vector_field(hopf_model, mu, State(theta, lam))
+
+        def rhs(t, y):
+            h = 1e-7
+            div = (field(y[0] + h, y[1])[0] - field(y[0] - h, y[1])[0]
+                   + field(y[0], y[1] + h)[1] - field(y[0], y[1] - h)[1]) / (2 * h)
+            return (*field(y[0], y[1]), div)
+
+        start = cycle.section_points[0]
+        sol = solve_ivp(rhs, (0.0, cycle.period), (start.theta, start.lam, 0.0),
+                        method="DOP853", rtol=1e-10, atol=1e-12)
+        assert sol.y[0, -1] == pytest.approx(start.theta, abs=1e-8)
+        assert sol.y[1, -1] == pytest.approx(start.lam, abs=1e-8)
+        assert math.exp(sol.y[2, -1]) == pytest.approx(cycle.multiplier, rel=1e-6)
+
+    def test_matches_direct_integration(self, hopf_model, hopf_cp):
+        # At 1.16 mu0 the multiplier is about 0.71, so 100 time units of
+        # plain integration leave no visible transient.
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        mu = 1.16 * th.mu0
+        cycle = poincare_cycle(hopf_model, mu, hopf_cp)
+        period, amp_theta, amp_lam = direct_cycle(hopf_model, mu, hopf_cp)
+        assert cycle.period == pytest.approx(period, rel=1e-6)
+        assert cycle.amplitude_theta == pytest.approx(amp_theta, rel=1e-4)
+        assert cycle.amplitude_lambda == pytest.approx(amp_lam, rel=1e-4)
+
+    def test_subcritical_cycle_repels(self, hopf_model):
+        # A softer albedo curve makes l1 positive: the cycle is born below
+        # mu0, around a stable focus, and it is unstable.
+        params = hopf_model.with_overrides(
+            albedo=replace(hopf_model.albedo, steepness=0.03))
+        cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
+        hopf = hopf_analysis(cp, params.alpha2, params.gamma, params=params)
+        assert hopf.l1 == pytest.approx(107.0, rel=0.01)
+        assert hopf.mu0 == pytest.approx(0.502, rel=1e-3)
+        mu = 0.99 * hopf.mu0
+        assert classify(cp, mu, params.alpha2,
+                        params.gamma) is Classification.STABLE_FOCUS
+        cycle = poincare_cycle(params, mu, cp)
+        assert cycle is not None
+        assert cycle.multiplier > 1.0
+        assert poincare_cycle(params, 1.01 * hopf.mu0, cp) is None
+
+    def test_saddle_has_no_cycle(self, hopf_model):
+        saddle = find_equilibria(hopf_model)[1]
+        assert classify(saddle, 3.0, hopf_model.alpha2,
+                        hopf_model.gamma) is Classification.SADDLE
+        assert poincare_cycle(hopf_model, 3.0, saddle) is None
+
+    def test_past_window_end_returns_none(self, hopf_model, hopf_cp):
+        # The cycle dies near the saddle at mu ~ 5.4; beyond it the orbit
+        # escapes to the cold node, and the hunt says so in a few laps.
+        assert poincare_cycle(hopf_model, 6.6, hopf_cp) is None
+
+    def test_max_time_caps_the_hunt(self, hopf_model, hopf_cp):
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        assert poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp,
+                              max_time=2.0) is None
+        with pytest.raises(ValueError, match="max_time"):
+            poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp, max_time=0.0)
+
+    def test_cycle_survives_to_the_window_end(self, hopf_model, hopf_cp):
+        # hopf_demo's window ends in a fold of cycles just above mu = 5.45702,
+        # where the multiplier nears 1 and Newton needs more laps. The
+        # transient hunt this replaced gave period 2.057464 and
+        # amplitude_theta 0.016974 here, its last cycle on a 1e-5 grid.
+        cycle = poincare_cycle(hopf_model, 5.45702, hopf_cp)
+        assert cycle is not None
+        assert 0.95 < cycle.multiplier < 1.0
+        assert cycle.period == pytest.approx(2.057464, rel=1e-4)
+        assert cycle.amplitude_theta == pytest.approx(0.016974, rel=1e-3)
+
+    @pytest.mark.parametrize("start", [1e-3, 0.5, 1.0 - 1e-9])
+    def test_bad_first_guess_falls_back_to_bracket(self, hopf_model, hopf_cp,
+                                                   monkeypatch, start):
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        mu = 1.16 * th.mu0
+        ref = poincare_cycle(hopf_model, mu, hopf_cp)
+        monkeypatch.setattr(simulator, "_normal_form_start",
+                            lambda *args: start * hopf_cp.lambda_c)
+        cycle = poincare_cycle(hopf_model, mu, hopf_cp)
+        assert cycle.laps > ref.laps
+        assert cycle.period == pytest.approx(ref.period, rel=1e-9)
+        assert cycle.amplitude_theta == pytest.approx(ref.amplitude_theta,
+                                                      rel=1e-8)
 
 
 class TestAmplitudeCurve:
