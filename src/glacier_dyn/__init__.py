@@ -2,7 +2,8 @@
 
 Library layout:
 
-- model: parameters, response curves, scalings, vector fields, nullclines
+- model: parameters, response curves, scalings, nullclines, and the one
+  definition of the dynamics: vector fields, their Jacobian, the regime rule
 - equilibria: nullcline crossings, count classification, lambda branches
 - stability: Jacobian, mu windows, Hopf data, center-manifold reduction
 - simulator: time integration, limit cycles, mu sweeps
@@ -54,9 +55,12 @@ from .model import (
     from_dimensional,
     ice_profile_height,
     lambda0,
+    make_jacobian,
+    make_rhs,
     nondimensionalize,
     nullcline_f,
     nullcline_g,
+    regime_of,
     response_eval,
     sheet_height_scale,
     sigmoid_eval,
@@ -80,7 +84,6 @@ from .simulator import (
     ModelKind,
     Termination,
     Trajectory,
-    amplitude_curve,
     integrate,
     poincare_cycle,
     sweep_mu,

@@ -82,21 +82,19 @@ def _apply_overrides(raw: dict, sets: list[str]) -> dict:
     return raw
 
 
-def _resolve(raw: dict) -> tuple[PhysicalParams | None, ModelParams | None, Scales | None]:
-    physical = model = scales = None
+def _load(args) -> tuple[ModelParams, Scales | None]:
+    """The model that defines the dynamics, and the scales when there is a
+    physical block, from --params with the --set overrides applied. A model
+    block takes precedence over the parameters derived from a physical one."""
+    raw = _apply_overrides(_load_raw(args.params), args.set)
+    model = scales = None
     if "physical" in raw:
-        physical = PhysicalParams.from_dict(raw["physical"])
-        derived, scales = nondimensionalize(physical)
-        model = derived
+        model, scales = nondimensionalize(PhysicalParams.from_dict(raw["physical"]))
     if "model" in raw:
         model = ModelParams.from_dict(raw["model"])
-    return physical, model, scales
-
-
-def _require_model(model: ModelParams | None) -> ModelParams:
     if model is None:
         raise ConfigError("need a 'model' or 'physical' block to define the dynamics")
-    return model
+    return model, scales
 
 
 def _resolve_mu(args, scales: Scales | None) -> float:
@@ -162,9 +160,7 @@ def cmd_scales(args) -> int:
 def cmd_analyze(args) -> int:
     if args.format == "csv":
         raise ConfigError("analyze emits JSON; csv is not supported here")
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    _, model, scales = _resolve(raw)
-    model = _require_model(model)
+    model, scales = _load(args)
     mu = _resolve_mu(args, scales)
     points = find_equilibria(model)
     if not points:
@@ -215,9 +211,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    _, model, scales = _resolve(raw)
-    model = _require_model(model)
+    model, scales = _load(args)
     mu = _resolve_mu(args, scales)
     for name in ("theta0", "lam0", "t_end"):
         if getattr(args, name) is None:
@@ -255,9 +249,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    _, model, scales = _resolve(raw)
-    model = _require_model(model)
+    model, _ = _load(args)
     if args.mu_min is None or args.mu_max is None:
         raise ConfigError("sweep needs --mu-min and --mu-max")
     if not (0 < args.mu_min < args.mu_max and math.isfinite(args.mu_max)):
@@ -300,9 +292,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_nullclines(args) -> int:
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    _, model, scales = _resolve(raw)
-    model = _require_model(model)
+    model, _ = _load(args)
     n = args.samples
     lo, hi = args.theta_min, args.theta_max
     if not (0 < lo < hi and n >= 2):
@@ -320,9 +310,7 @@ def cmd_nullclines(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    _, model, scales = _resolve(raw)
-    model = _require_model(model)
+    model, scales = _load(args)
     mu = _resolve_mu(args, scales)
     report = run_verification(model, mu=mu, seed=args.seed)
     lines = []

@@ -68,7 +68,7 @@ class EquilibriumCount(enum.Enum):
 def critical_point_at(params: ModelParams, theta_c: float) -> CriticalPoint:
     """Assemble the cached-derivative record at a known equilibrium theta."""
     return CriticalPoint(
-        theta_c=theta_c,
+        theta_c=float(theta_c),
         lambda_c=nullcline_g(params, theta_c, 0),
         f1=nullcline_f(params, theta_c, 1),
         f2=nullcline_f(params, theta_c, 2),

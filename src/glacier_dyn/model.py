@@ -1,5 +1,7 @@
-"""Core model quantities: parameter records, response curves, scalings, vector
-fields, and nullclines, all as pure evaluations.
+"""Core model quantities: parameter records, response curves, scalings, the
+vector field with its Jacobian and regime rule, and nullclines, all as pure
+evaluations. This is the one place the dynamics are written; the simulator
+integrates the closures make_rhs and make_jacobian build here.
 
 The planar system couples a dimensionless global temperature theta with a
 dimensionless ice-sheet extent lambda:
@@ -32,6 +34,9 @@ from .errors import (
 )
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
+# Least lambda the full ice equation and the Jacobian evaluate at; the
+# simulator also stops a trajectory there.
+LAMBDA_FLOOR = 1e-12
 
 
 class SigmoidFamily(enum.Enum):
@@ -43,8 +48,8 @@ class SigmoidFamily(enum.Enum):
     PIECEWISE_LINEAR = "piecewise_linear"
 
 
-def _tanh_derivs(x, order: int):
-    t = np.tanh(x)
+def _tanh_derivs(t, order: int):
+    """sigma^(order) of the tanh family from t = tanh(x)."""
     if order == 0:
         return t
     s = 1.0 - t * t
@@ -58,40 +63,40 @@ def _tanh_derivs(x, order: int):
 def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
     """Evaluate sigma^(order)(x) for the given family, order in 0..3.
 
-    Accepts scalars or numpy arrays. The piecewise-linear ramp clamp(x, -1, 1)
-    has no derivative exactly at |x| = 1; orders >= 1 there raise
+    Python scalars go through the math module and give floats; anything else
+    goes through numpy. The piecewise-linear ramp clamp(x, -1, 1) has no
+    derivative exactly at |x| = 1; orders >= 1 there raise
     NonDifferentiablePoint rather than picking a one-sided value.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
+    scalar = isinstance(x, (float, int))
+    x = float(x) if scalar else np.asarray(x, dtype=float)
     if family is SigmoidFamily.TANH:
-        return _tanh_derivs(x, order)
+        return _tanh_derivs(math.tanh(x) if scalar else np.tanh(x), order)
     if family is SigmoidFamily.LOGISTIC:
         # 2/(1 + e^-x) - 1 == tanh(x/2), so derivatives scale by 2^-order.
-        return _tanh_derivs(np.asarray(x) / 2.0, order) / 2.0**order
+        half = x / 2.0
+        return _tanh_derivs(math.tanh(half) if scalar else np.tanh(half), order) / 2.0**order
     if family is SigmoidFamily.ERF:
-        xa = np.asarray(x, dtype=float)
         if order == 0:
-            return erf(x) if np.isscalar(x) else erf(xa)
-        d1 = (2.0 / math.sqrt(math.pi)) * np.exp(-xa * xa)
+            return math.erf(x) if scalar else erf(x)
+        d1 = (2.0 / math.sqrt(math.pi)) * (math.exp(-x * x) if scalar else np.exp(-x * x))
         if order == 1:
-            res = d1
-        elif order == 2:
-            res = -2.0 * xa * d1
-        else:
-            res = (4.0 * xa * xa - 2.0) * d1
-        return float(res) if np.isscalar(x) else res
+            return d1
+        if order == 2:
+            return -2.0 * x * d1
+        return (4.0 * x * x - 2.0) * d1
     # piecewise-linear ramp
-    xa = np.asarray(x, dtype=float)
     if order == 0:
-        res = np.clip(xa, -1.0, 1.0)
-        return float(res) if np.isscalar(x) else res
-    if np.any(np.abs(xa) == 1.0):
+        return min(max(x, -1.0), 1.0) if scalar else np.clip(x, -1.0, 1.0)
+    if np.any(np.abs(x) == 1.0):
         raise NonDifferentiablePoint(
             f"piecewise-linear sigmoid has no order-{order} derivative at |x| = 1"
         )
-    res = np.where(np.abs(xa) < 1.0, 1.0, 0.0) if order == 1 else np.zeros_like(xa)
-    return float(res) if np.isscalar(x) else res
+    if scalar:
+        return 1.0 if order == 1 and abs(x) < 1.0 else 0.0
+    return np.where(np.abs(x) < 1.0, 1.0, 0.0) if order == 1 else np.zeros_like(x)
 
 
 def _require_finite(record, names) -> None:
@@ -99,6 +104,15 @@ def _require_finite(record, names) -> None:
         value = getattr(record, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _check_dict_keys(data: dict, allowed: set[str], required: set[str], where: str):
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +140,8 @@ class SigmoidResponse:
     def from_dict(cls, data: dict, where: str = "curve") -> "SigmoidResponse":
         if not isinstance(data, dict):
             raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-        allowed = {"family", "limit_minus", "limit_plus", "center", "steepness"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = allowed - set(data)
-        if missing:
-            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        keys = {"family", "limit_minus", "limit_plus", "center", "steepness"}
+        _check_dict_keys(data, keys, keys, where)
         try:
             family = SigmoidFamily(str(data["family"]).lower())
         except ValueError:
@@ -158,25 +167,15 @@ class SigmoidResponse:
 
 def response_eval(curve: SigmoidResponse, theta, order: int = 0):
     """Evaluate the response or its order-1..3 theta-derivative."""
-    if np.isscalar(theta):
-        z = (theta - curve.center) / curve.steepness
-    else:
-        z = (np.asarray(theta, dtype=float) - curve.center) / curve.steepness
+    if not isinstance(theta, (float, int)):
+        theta = np.asarray(theta, dtype=float)
+    z = (theta - curve.center) / curve.steepness
     half_span = 0.5 * (curve.limit_plus - curve.limit_minus)
     if order == 0:
         return 0.5 * (curve.limit_plus + curve.limit_minus) + half_span * sigmoid_eval(
             curve.family, z, 0
         )
     return half_span * sigmoid_eval(curve.family, z, order) / curve.steepness**order
-
-
-def _check_dict_keys(data: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,13 @@ class ModelParams:
 class Scales:
     """Conversion scales between dimensionless and dimensional quantities.
 
-    t_star is stored in years (t_star_unit records that choice explicitly).
+    T_star is in K, L_star in m and t_star in years.
     """
 
     T_star: float
     L_star: float
     t_star: float
     mu: float
-    t_star_unit: str = "yr"
 
     def __post_init__(self):
         for name in ("T_star", "L_star", "t_star", "mu"):
@@ -358,24 +356,50 @@ def ice_profile_height(x: float, l: float, H: float) -> float:
     return H * math.sqrt(l) * math.sqrt(1.0 - abs(x) / l)
 
 
-def lambda0(lam: float, epsilon: float) -> float:
-    """Dimensionless snow-line position on the sheet.
+def _snow_line(lam, epsilon):
+    """(lambda0, radicand) at lambda > 0, unchecked, for a float or a numpy
+    array of lambda. Under the root the radicand is clamped at 0, which solver
+    trial steps may cross. Where eps + lambda + 1/2 > 0 the root is
+    rationalised, lambda0 = (1 - (eps + lambda)^2/lambda) / (sqrt(radicand)
+    + eps + lambda + 1/2), so that nothing cancels at small lambda."""
+    shift = epsilon + lam + 0.5
+    radicand = epsilon + 2.0 * lam + 0.25
+    if isinstance(lam, np.ndarray):
+        root = np.sqrt(np.maximum(radicand, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(
+                shift > 0, (1.0 - (epsilon + lam) ** 2 / lam) / (root + shift), (root - shift) / lam
+            )
+        return value, radicand
+    root = math.sqrt(max(radicand, 0.0))
+    if shift > 0:
+        return (1.0 - (epsilon + lam) ** 2 / lam) / (root + shift), radicand
+    return (root - shift) / lam, radicand
+
+
+def lambda0(lam, epsilon: float):
+    """Dimensionless snow-line position on the sheet, for a scalar or a numpy
+    array of lambda.
 
     lambda0 = (1/lambda) * [-(eps + lambda + 1/2) + sqrt(eps + 2*lambda + 1/4)].
 
     Negative values mean the ablation zone covers the whole sheet. For
     lambda >= -eps/2 the radicand is at least 1/4, so the square root is safe;
     a negative radicand (possible only for strongly negative eps and small
-    lambda) raises ComplexSnowline.
+    lambda) raises ComplexSnowline, and lambda <= 0 raises DomainError.
     """
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    radicand = epsilon + 2.0 * lam + 0.25
-    if radicand < 0:
+    array = isinstance(lam, np.ndarray)
+    # The radicand grows with lambda, so the least lambda decides both checks.
+    low = float(lam.min()) if array else float(lam)
+    if not low > 0:
+        raise DomainError(f"lambda must be positive, got {low}")
+    value, radicand = _snow_line(lam if array else low, epsilon)
+    least = radicand.min() if array else radicand
+    if least < 0:
         raise ComplexSnowline(
-            f"radicand eps + 2*lambda + 1/4 = {radicand} < 0 at lambda = {lam}"
+            f"radicand eps + 2*lambda + 1/4 = {least} < 0 at lambda = {low}"
         )
-    return (-(epsilon + lam + 0.5) + math.sqrt(radicand)) / lam
+    return value
 
 
 def nondimensionalize(p: PhysicalParams) -> tuple[ModelParams, Scales]:
@@ -413,50 +437,50 @@ def nondimensionalize(p: PhysicalParams) -> tuple[ModelParams, Scales]:
     return model, scales
 
 
-def _F_bracket(params: ModelParams, theta: float, lam: float) -> float:
-    """Energy-balance bracket; dtheta/dtau = mu * bracket."""
-    return (
+def regime_of(params: ModelParams, lam: float) -> Regime:
+    """Mass-balance regime of the full model; lambda <= 0 raises DomainError.
+
+    Nucleation (eps < 0, lambda < -eps/2) is checked first: there the sheet
+    grows from scratch whatever the sign of lambda0. Otherwise the regime is
+    accumulating where lambda0 >= 0 and stagnant (whole sheet ablating) where
+    lambda0 < 0.
+    """
+    if not lam > 0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if params.epsilon < 0 and lam < -params.epsilon / 2.0:
+        return Regime.NUCLEATION
+    return Regime.ACCUMULATING if _snow_line(lam, params.epsilon)[0] >= 0 else Regime.STAGNANT
+
+
+def _rates(params: ModelParams, mu: float, theta: float, lam: float, regime: Regime | None):
+    """(dtheta/dtau, dlambda/dtau), unchecked: the simplified ice equation for
+    regime None, the full one in the given regime otherwise. Solver trial
+    steps may leave the domain, so the ice equation clamps lambda at 0 in the
+    simplified model and at LAMBDA_FLOOR in the full one."""
+    dtheta = mu * (
         1.0
         + params.beta
         - params.gamma * (params.alpha1 + params.alpha2 * lam)
         - (1.0 - params.gamma) * response_eval(params.albedo, theta, 0)
         - theta
     )
-
-
-def _G_simplified(params: ModelParams, theta: float, lam: float) -> float:
+    if regime is None:
+        xi = response_eval(params.accum, theta, 0)
+        return dtheta, math.sqrt(max(lam, 0.0)) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
+    lam = max(lam, LAMBDA_FLOOR)
+    if regime is Regime.STAGNANT:
+        return dtheta, -math.sqrt(lam)
     xi = response_eval(params.accum, theta, 0)
-    return math.sqrt(lam) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
+    if regime is Regime.NUCLEATION:
+        return dtheta, -(xi / (2.0 * math.sqrt(lam))) * params.epsilon
+    return dtheta, math.sqrt(lam) * ((1.0 + xi) * _snow_line(lam, params.epsilon)[0] - 1.0)
 
 
 def vector_field(params: ModelParams, mu: float, s: State) -> tuple[float, float]:
     """Right-hand side (dtheta/dtau, dlambda/dtau) of the simplified system."""
     if not s.lam > 0:
         raise DomainError(f"lambda must be positive, got {s.lam}")
-    return (
-        mu * _F_bracket(params, s.theta, s.lam),
-        _G_simplified(params, s.theta, s.lam),
-    )
-
-
-def _full_regime(params: ModelParams, lam: float) -> Regime:
-    # Nucleation check first: for eps < 0 the sheet below the snow line grows
-    # from scratch regardless of the lambda0 sign.
-    if params.epsilon < 0 and lam < -params.epsilon / 2.0:
-        return Regime.NUCLEATION
-    if lambda0(lam, params.epsilon) >= 0:
-        return Regime.ACCUMULATING
-    return Regime.STAGNANT
-
-
-def _G_full(params: ModelParams, theta: float, lam: float, regime: Regime) -> float:
-    if regime is Regime.NUCLEATION:
-        xi = response_eval(params.accum, theta, 0)
-        return -(xi / (2.0 * math.sqrt(lam))) * params.epsilon
-    if regime is Regime.ACCUMULATING:
-        xi = response_eval(params.accum, theta, 0)
-        return math.sqrt(lam) * ((1.0 + xi) * lambda0(lam, params.epsilon) - 1.0)
-    return -math.sqrt(lam)
+    return _rates(params, mu, s.theta, s.lam, None)
 
 
 def vector_field_full(
@@ -465,18 +489,47 @@ def vector_field_full(
     """Right-hand side of the full mass-balance system with its regime label.
 
     The temperature equation is identical to the simplified one. The ice
-    equation switches between three regimes of the snow-line position:
-    nucleation (eps < 0, lambda < -eps/2), accumulating (lambda0 >= 0), and
-    stagnant (lambda0 < 0, whole sheet ablating).
+    equation switches between the three regimes of regime_of.
     """
-    if not s.lam > 0:
-        raise DomainError(f"lambda must be positive, got {s.lam}")
-    regime = _full_regime(params, s.lam)
-    return (
-        mu * _F_bracket(params, s.theta, s.lam),
-        _G_full(params, s.theta, s.lam, regime),
-        regime,
-    )
+    regime = regime_of(params, s.lam)
+    return (*_rates(params, mu, s.theta, s.lam, regime), regime)
+
+
+def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
+    """rhs(t, y) for scipy's solvers: the simplified field for regime None,
+    the full field held in one regime otherwise, clamped as in _rates."""
+
+    def rhs(t, y):
+        # Plain floats: numpy scalar arithmetic costs several times more.
+        return _rates(params, mu, float(y[0]), float(y[1]), regime)
+
+    return rhs
+
+
+def make_jacobian(params: ModelParams, mu: float):
+    """jac(t, y): the analytic Jacobian of the simplified field at any state,
+    for implicit solvers and variational equations."""
+    gm = params.gamma
+    dtheta_dlam = -mu * gm * params.alpha2
+
+    def jac(t, y):
+        theta, lam = y
+        root = math.sqrt(max(lam, LAMBDA_FLOOR))
+        xi = response_eval(params.accum, theta, 0)
+        dalb = response_eval(params.albedo, theta, 1)
+        dxi = response_eval(params.accum, theta, 1)
+        bracket = (1.0 + xi) * (1.0 - 4.0 * lam) - 1.0
+        return np.array(
+            [
+                [-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam],
+                [
+                    root * (1.0 - 4.0 * lam) * dxi,
+                    bracket / (2.0 * root) - 4.0 * root * (1.0 + xi),
+                ],
+            ]
+        )
+
+    return jac
 
 
 def nullcline_f(params: ModelParams, theta, order: int = 0):

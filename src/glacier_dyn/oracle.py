@@ -245,29 +245,25 @@ def numeric_l1(params: ModelParams, cp: CriticalPoint, cfg: FdConfig = FdConfig(
 def bisect_lambda_branches(xi: float, epsilon: float) -> tuple[float, float]:
     """Roots of lambda0(lambda) = 1/(1+xi) by grid scan plus bisection.
 
-    Scans 10^4 points over (0, 1]; each sign-change bracket is refined to
-    1e-12. At epsilon = 0 the smaller root degenerates to the lambda -> 0
-    boundary and only the interior root is found; (0, root) is returned in
-    that case. Anything else with fewer than two roots is an OracleMismatch.
+    Scans 10^4 geometrically spaced points from 1e-2*eps^2 (the small root is
+    O(eps^2)) to 1; each sign-change bracket is refined to 1e-12. At
+    epsilon = 0 the smaller root degenerates to the lambda -> 0 boundary and
+    only the interior root is found; (0, root) is returned in that case.
+    Anything else with fewer than two roots is an OracleMismatch.
     """
     zeta = 1.0 / (1.0 + xi)
 
     def h(lam):
         return lambda0(lam, epsilon) - zeta
 
-    grid = np.linspace(1e-8, 1.0, 10_000)
-    radicand = epsilon + 2.0 * grid + 0.25
-    if np.any(radicand < 0):
-        h(float(grid[np.argmax(radicand < 0)]))  # raises ComplexSnowline
-    # Vectorized copy of h for the bracketing pass only; every bracket is
-    # refined through the scalar h, so a disagreement could not go unnoticed.
-    vals = (-(epsilon + grid + 0.5) + np.sqrt(radicand)) / grid - zeta
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(bisect(h, grid[i], grid[i + 1], xtol=1e-12))
+    start = 1e-2 * epsilon * epsilon
+    grid = np.geomspace(start if start > 0 else 1e-8, 1.0, 10_000)
+    vals = lambda0(grid, epsilon) - zeta
+    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    roots = [
+        float(grid[i]) if vals[i] == 0.0 else bisect(h, grid[i], grid[i + 1], xtol=1e-12)
+        for i in cells
+    ]
     if len(roots) >= 2:
         return roots[0], roots[-1]
     if len(roots) == 1 and epsilon == 0.0:
@@ -289,7 +285,7 @@ def grid_max_lambda0(epsilon: float) -> tuple[float, float]:
     if epsilon <= -0.125:
         raise DomainError(f"eps must exceed -1/8, got {epsilon}")
     grid = np.linspace(1e-8, 1.0, 4_000)
-    vals = np.array([lambda0(g, epsilon) for g in grid])
+    vals = lambda0(grid, epsilon)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

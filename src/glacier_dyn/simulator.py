@@ -5,7 +5,8 @@ than lambda, so for large mu an explicit step is capped by stability rather
 than accuracy. Up to STIFF_MU it uses an adaptive embedded Runge-Kutta 5(4)
 pair (scipy's RK45); above it, the implicit Radau IIA method of order 5, with
 the analytic Jacobian for the simplified model and finite differences for
-the full one. Either way events are located on dense output. The full
+the full one. The field and its Jacobian are model.make_rhs and
+model.make_jacobian. Either way events are located on dense output. The full
 model is integrated piecewise: within a segment the mass-balance regime is
 fixed, and each regime arms only the events for boundaries it can actually
 leave through, so a restart exactly on a boundary zero cannot re-trigger the
@@ -27,16 +28,19 @@ from scipy.integrate import solve_ivp
 from .equilibria import CriticalPoint, find_equilibria
 from .errors import DomainError, GlacierDynError, StiffnessError
 from .model import (
+    LAMBDA_FLOOR,
     ModelParams,
     Regime,
     State,
+    _snow_line,
+    make_jacobian,
+    make_rhs,
     nullcline_f,
     nullcline_g,
-    response_eval,
+    regime_of,
 )
 from .stability import Classification, classify, hopf_analysis, jacobian
 
-LAMBDA_FLOOR = 1e-12
 # Above this mu the temperature equation makes the system stiff enough that
 # Radau beats RK45; the measured cost crossover lies between mu = 30 and 100.
 STIFF_MU = 100.0
@@ -112,84 +116,6 @@ class BifurcationDiagram:
     rows: list[BifRow] = field(default_factory=list)
 
 
-def _lambda0_soft(lam: float, epsilon: float) -> float:
-    # Clamped for solver trial steps; the exact version raises instead.
-    radicand = max(epsilon + 2.0 * lam + 0.25, 0.0)
-    return (-(epsilon + lam + 0.5) + math.sqrt(radicand)) / lam
-
-
-def _make_rhs_simplified(params: ModelParams, mu: float):
-    beta, gm, a1, a2 = params.beta, params.gamma, params.alpha1, params.alpha2
-
-    def rhs(t, y):
-        theta, lam = y
-        alb = response_eval(params.albedo, theta, 0)
-        xi = response_eval(params.accum, theta, 0)
-        dtheta = mu * (1.0 + beta - gm * (a1 + a2 * lam) - (1.0 - gm) * alb - theta)
-        dlam = math.sqrt(max(lam, 0.0)) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
-        return (dtheta, dlam)
-
-    return rhs
-
-
-def _make_jac_simplified(params: ModelParams, mu: float):
-    """Analytic Jacobian of _make_rhs_simplified's field, for implicit solvers."""
-    gm = params.gamma
-    dtheta_dlam = -mu * gm * params.alpha2
-
-    def jac(t, y):
-        theta, lam = y
-        root = math.sqrt(max(lam, LAMBDA_FLOOR))
-        xi = response_eval(params.accum, theta, 0)
-        dalb = response_eval(params.albedo, theta, 1)
-        dxi = response_eval(params.accum, theta, 1)
-        bracket = (1.0 + xi) * (1.0 - 4.0 * lam) - 1.0
-        return np.array(
-            [
-                [-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam],
-                [
-                    root * (1.0 - 4.0 * lam) * dxi,
-                    bracket / (2.0 * root) - 4.0 * root * (1.0 + xi),
-                ],
-            ]
-        )
-
-    return jac
-
-
-def _make_rhs_full(params: ModelParams, mu: float, regime: Regime):
-    beta, gm, a1, a2, eps = (
-        params.beta,
-        params.gamma,
-        params.alpha1,
-        params.alpha2,
-        params.epsilon,
-    )
-
-    def rhs(t, y):
-        theta, lam = y
-        lam_s = max(lam, LAMBDA_FLOOR)
-        alb = response_eval(params.albedo, theta, 0)
-        xi = response_eval(params.accum, theta, 0)
-        dtheta = mu * (1.0 + beta - gm * (a1 + a2 * lam) - (1.0 - gm) * alb - theta)
-        if regime is Regime.NUCLEATION:
-            dlam = -(xi / (2.0 * math.sqrt(lam_s))) * eps
-        elif regime is Regime.ACCUMULATING:
-            dlam = math.sqrt(lam_s) * ((1.0 + xi) * _lambda0_soft(lam_s, eps) - 1.0)
-        else:
-            dlam = -math.sqrt(lam_s)
-        return (dtheta, dlam)
-
-    return rhs
-
-
-def _regime_of(params: ModelParams, lam: float) -> Regime:
-    eps = params.epsilon
-    if eps < 0 and lam < -eps / 2.0:
-        return Regime.NUCLEATION
-    return Regime.ACCUMULATING if _lambda0_soft(lam, eps) >= 0 else Regime.STAGNANT
-
-
 def _floor_event(t, y):
     return y[1] - LAMBDA_FLOOR
 
@@ -207,7 +133,7 @@ def _segment_events(params: ModelParams, regime: Regime):
     eps = params.epsilon
 
     def ev_l0(t, y):
-        return _lambda0_soft(max(y[1], LAMBDA_FLOOR), eps)
+        return _snow_line(max(y[1], LAMBDA_FLOOR), eps)[0]
 
     def ev_nucl(t, y):
         return y[1] + eps / 2.0
@@ -275,8 +201,8 @@ def integrate(
     method = "Radau" if stiff else "RK45"
 
     if model is ModelKind.SIMPLIFIED:
-        rhs = _make_rhs_simplified(params, mu)
-        extra = {"jac": _make_jac_simplified(params, mu)} if stiff else {}
+        rhs = make_rhs(params, mu)
+        extra = {"jac": make_jacobian(params, mu)} if stiff else {}
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
@@ -306,8 +232,8 @@ def integrate(
     all_reg: list[str] = []
     terminated = Termination.TIME_LIMIT
     for _ in range(_MAX_SEGMENTS):
-        regime = _regime_of(params, max(y0[1], LAMBDA_FLOOR))
-        rhs = _make_rhs_full(params, mu, regime)
+        regime = regime_of(params, max(y0[1], LAMBDA_FLOOR))
+        rhs = make_rhs(params, mu, regime)
         events, targets = _segment_events(params, regime)
         sol = solve_ivp(
             rhs, (t0, t_end), y0, method=method, rtol=rel_tol, atol=abs_tol,
@@ -329,7 +255,7 @@ def integrate(
         y_star = sol.y[:, -1]
         # Euler nudge into the target regime keeps the restart strictly off
         # the boundary zero (well inside the 1e-10 location tolerance).
-        nudge_rhs = _make_rhs_full(params, mu, target)
+        nudge_rhs = make_rhs(params, mu, target)
         dy = nudge_rhs(t_star, y_star)
         t0 = t_star + _NUDGE
         y0 = (y_star[0] + _NUDGE * dy[0], y_star[1] + _NUDGE * dy[1])
@@ -364,8 +290,8 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     return-time shift, (dlambda/dtau)/(dtheta/dtau) times its theta-row.
     Turning points (lambda = f(theta), lambda = g(theta)) give the amplitudes.
     """
-    rhs = _make_rhs_simplified(params, mu)
-    jac = _make_jac_simplified(params, mu)
+    rhs = make_rhs(params, mu)
+    jac = make_jacobian(params, mu)
     spent = [0.0, 0]  # time integrated, laps
 
     def flow(t, y):
@@ -490,20 +416,6 @@ def poincare_cycle(
             return newton(here[0] - here[1] / (cycle.multiplier - 1.0), [prev, here], 40)
         prev, s = here, 8.0 * s
     return None
-
-
-def amplitude_curve(
-    params: ModelParams,
-    cp: CriticalPoint,
-    mus: list[float],
-    **cycle_kwargs,
-) -> list[tuple[float, float | None]]:
-    """Cycle theta-amplitude per mu; None where no cycle is detected."""
-    out = []
-    for mu in mus:
-        cycle = poincare_cycle(params, mu, cp, **cycle_kwargs)
-        out.append((mu, cycle.amplitude_theta if cycle is not None else None))
-    return out
 
 
 def sweep_mu(

@@ -370,6 +370,14 @@ class TestVerify:
                             "--seed", "42")
         assert first == second
 
+    def test_seed_with_tiny_small_branch_passes(self, capsys):
+        # This seed draws eps = -3.34e-5, whose small lambda branch is
+        # O(eps^2): about 5.3e-9.
+        code, out = run_cli(capsys, "verify", "--params", HOPF,
+                            "--seed", "560224129")
+        assert code == 0
+        assert "FAIL" not in out
+
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("key", ["model.alpha1", "model.epsilon",

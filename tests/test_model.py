@@ -133,7 +133,6 @@ def test_scales_from_table1(table1_scales, table1_model):
     assert table1_scales.L_star == pytest.approx(27700217.169702612, rel=1e-12)
     assert table1_scales.t_star == pytest.approx(33373.75562614772, rel=1e-12)
     assert table1_scales.mu == pytest.approx(183256.03971530317, rel=1e-12)
-    assert table1_scales.t_star_unit == "yr"
     assert table1_model.epsilon == pytest.approx(0.1083024, rel=1e-6)
     assert table1_model.beta == pytest.approx(0.7875385745775165, rel=1e-12)
 
@@ -184,6 +183,26 @@ def test_lambda0_reference_values():
         gd.lambda0(0.0, 0.0)
     with pytest.raises(gd.ComplexSnowline):
         gd.lambda0(0.01, -0.3)
+
+
+def test_lambda0_exact_at_nucleation_threshold():
+    # At lambda = -eps/2 the snow line sits at 1. At this Hypothesis draw the
+    # unrationalised closed form cancels to 1 + 2.5e-12.
+    assert gd.lambda0(6.052610563396542e-06, -1.2105221126793083e-05) <= 1.0 + 1e-12
+    for eps in (-1e-9, -3.34e-5, -1e-3, -0.04, -0.1):
+        assert gd.lambda0(-eps / 2.0, eps) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_lambda0_takes_arrays():
+    for eps in (-0.1, 0.0, 0.1083):
+        lams = np.geomspace(1e-9, 1.0, 57) + (-eps / 2.0 if eps < 0 else 0.0)
+        got = gd.lambda0(lams, eps)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, [gd.lambda0(float(l), eps) for l in lams])
+    with pytest.raises(gd.DomainError):
+        gd.lambda0(np.array([0.1, 0.0]), 0.0)
+    with pytest.raises(gd.ComplexSnowline):
+        gd.lambda0(np.array([0.2, 0.01]), -0.3)
 
 
 @given(
@@ -243,6 +262,10 @@ def test_full_regime_nucleation_checked_first(hopf_model):
     xi = gd.response_eval(params.accum, 1.3, 0)
     assert G == pytest.approx(-(xi / (2.0 * math.sqrt(lam))) * params.epsilon, rel=1e-14)
     assert G > 0  # nucleation grows the sheet
+    assert gd.regime_of(params, lam) is gd.Regime.NUCLEATION
+    assert gd.regime_of(params, 0.06) is gd.Regime.ACCUMULATING
+    with pytest.raises(gd.DomainError):
+        gd.regime_of(params, 0.0)
 
 
 def test_full_approaches_simplified_at_eps_zero(hopf_model):

@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 from glacier_dyn import (
     Classification,
     State,
-    amplitude_curve,
     classify,
     critical_point_at,
     find_equilibria,
@@ -24,7 +23,7 @@ from glacier_dyn import (
 )
 from glacier_dyn import simulator
 from glacier_dyn.errors import DomainError
-from glacier_dyn.model import lambda0
+from glacier_dyn.model import lambda0, make_jacobian
 from glacier_dyn.oracle import direct_cycle, fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination
 
@@ -201,7 +200,7 @@ def _switches(traj):
 class TestStiffPath:
     @pytest.mark.parametrize("mu", [1.0, 300.0, 1.8e5])
     def test_analytic_jacobian_matches_finite_differences(self, hopf_model, mu):
-        jac = simulator._make_jac_simplified(hopf_model, mu)
+        jac = make_jacobian(hopf_model, mu)
         rng = np.random.default_rng(6)
         for _ in range(25):
             theta = float(rng.uniform(1.3, 1.55))
@@ -379,12 +378,10 @@ class TestAmplitudeCurve:
     def test_absent_below_onset_and_growing_above(self, hopf_model, hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
         mus = [0.9 * th.mu0, (1 + 1e-3) * th.mu0, (1 + 4e-3) * th.mu0]
-        curve = amplitude_curve(hopf_model, hopf_cp, mus)
-        assert [m for m, _ in curve] == mus
-        below, near, far = (a for _, a in curve)
+        below, near, far = (poincare_cycle(hopf_model, mu, hopf_cp) for mu in mus)
         assert below is None
         assert near is not None and far is not None
-        assert 0 < near < far
+        assert 0 < near.amplitude_theta < far.amplitude_theta
 
 
 # ---------------------------------------------------------------------------

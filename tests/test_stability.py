@@ -248,6 +248,14 @@ def test_hopf_analysis_summary(hopf_cp, hopf_model):
     assert data.transversality == pytest.approx(0.29644904177098375, rel=1e-12)
 
 
+def test_results_are_plain_floats(hopf_cp, hopf_model):
+    th = gd.mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+    hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma, params=hopf_model)
+    values = [*vars(hopf_cp).values(), *vars(th).values(), hopf.mu0, hopf.omega0, hopf.l1,
+              hopf.transversality]
+    assert [type(v) for v in values] == [float] * len(values)
+
+
 def test_hopf_analysis_rejects_inadmissible(table1_model):
     points = gd.find_equilibria(table1_model)
     for cp in points:  # none of the three satisfies g' > f' > 0
