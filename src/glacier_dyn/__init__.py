@@ -105,4 +105,31 @@ from .stability import (
     tangency_directions,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # equilibria
+    "BranchPair", "CriticalPoint", "EquilibriumCount", "branch_bounds",
+    "count_classification", "critical_point_at", "find_equilibria", "lambda0_max",
+    "lambda_branches", "theta_extrema",
+    # errors
+    "ComplexSnowline", "ConditioningError", "ConfigError", "DegenerateSlope",
+    "DomainError", "GlacierDynError", "NoBranches", "NonDifferentiablePoint",
+    "NotHopfCandidate", "NotTangent", "OracleMismatch", "OutOfProfile", "ScaleError",
+    "StiffnessError", "TangencyWarning",
+    # model
+    "DimensionalState", "ModelParams", "PhysicalParams", "Regime", "Scales",
+    "SigmoidFamily", "SigmoidResponse", "State", "continental_albedo",
+    "from_dimensional", "ice_profile_height", "lambda0", "make_jacobian", "make_rhs",
+    "nondimensionalize", "nullcline_f", "nullcline_g", "regime_of", "response_eval",
+    "sheet_height_scale", "sigmoid_eval", "to_dimensional", "vector_field",
+    "vector_field_full",
+    # oracle
+    "FdConfig", "VerificationReport", "bisect_lambda_branches", "fd_jacobian",
+    "grid_max_lambda0", "numeric_l1", "run_verification",
+    # simulator
+    "BifRow", "BifurcationDiagram", "LimitCycle", "ModelKind", "Termination",
+    "Trajectory", "integrate", "poincare_cycle", "sweep_mu",
+    # stability
+    "CenterManifoldVerdict", "Classification", "Criticality", "HopfData", "Jacobian2",
+    "MuThresholds", "center_manifold", "classify", "eigenvalues", "hopf_analysis",
+    "jacobian", "lyapunov_l1", "mu_thresholds", "tangency_directions",
+]

@@ -113,7 +113,7 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -232,19 +232,17 @@ def cmd_simulate(args) -> int:
         header += ["t_years", "T_kelvin", "l_km"]
     if traj.regimes is not None:
         header.append("regime")
-    rows = []
-    for i in range(len(traj.times)):
-        row: list = [float(traj.times[i]), float(traj.thetas[i]), float(traj.lams[i])]
-        if args.dimensional:
-            row += [
-                float(traj.times[i]) * scales.t_star,
-                float(traj.thetas[i]) * scales.T_star,
-                float(traj.lams[i]) * scales.L_star / M_PER_KM,
-            ]
-        if traj.regimes is not None:
-            row.append(traj.regimes[i])
-        rows.append(row)
-    _emit(_csv_text(header, rows), args.out)
+    times, thetas, lams = traj.times.tolist(), traj.thetas.tolist(), traj.lams.tolist()
+    columns = [times, thetas, lams]
+    if args.dimensional:
+        columns += [
+            [t * scales.t_star for t in times],
+            [theta * scales.T_star for theta in thetas],
+            [lam * scales.L_star / M_PER_KM for lam in lams],
+        ]
+    if traj.regimes is not None:
+        columns.append(traj.regimes)
+    _emit(_csv_text(header, list(zip(*columns))), args.out)
     return 3 if traj.terminated is Termination.LAMBDA_FLOOR else 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -344,3 +345,9 @@ def test_dimensional_round_trip(table1_scales):
     back = gd.from_dimensional(d, table1_scales)
     assert back.theta == pytest.approx(s.theta, rel=1e-14)
     assert back.lam == pytest.approx(s.lam, rel=1e-14)
+
+
+def test_all_lists_each_public_name_once():
+    public = {name for name, value in vars(gd).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(gd.__all__) == sorted(public)

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glacier_dyn as gd
-from glacier_dyn.model import response_eval, sigmoid_eval
+from glacier_dyn.model import _response, _response_slope, response_eval, sigmoid_eval
 
 SMOOTH = (gd.SigmoidFamily.TANH, gd.SigmoidFamily.LOGISTIC, gd.SigmoidFamily.ERF)
 ALL_FAMILIES = SMOOTH + (gd.SigmoidFamily.PIECEWISE_LINEAR,)
@@ -180,3 +180,35 @@ def test_response_from_dict_family_case_insensitive():
         "steepness": 0.01,
     }
     assert gd.SigmoidResponse.from_dict(data).family is gd.SigmoidFamily.TANH
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@given(
+    family=st.sampled_from(ALL_FAMILIES),
+    limit_minus=st.floats(0.0, 1.0),
+    limit_plus=st.floats(0.0, 1.0),
+    center=st.floats(0.5, 2.0),
+    steepness=st.floats(1e-3, 1.0),
+    theta=st.floats(0.0, 3.0),
+)
+@example(gd.SigmoidFamily.PIECEWISE_LINEAR, 0.1, 0.5, 1.0, 0.5, 1.5)
+@example(gd.SigmoidFamily.PIECEWISE_LINEAR, 0.85, 0.25, 1.0, 0.5, 0.5)
+@settings(max_examples=400, deadline=None)
+def test_folded_response_matches_response_eval_bit_for_bit(
+    family, limit_minus, limit_plus, center, steepness, theta
+):
+    curve = gd.SigmoidResponse(limit_minus, limit_plus, center, steepness, family)
+    value = response_eval(curve, theta, 0)
+    assert _bits(_response(curve, theta)) == _bits(value)
+    if family is gd.SigmoidFamily.PIECEWISE_LINEAR and abs((theta - center) / steepness) == 1.0:
+        with pytest.raises(gd.NonDifferentiablePoint):
+            response_eval(curve, theta, 1)
+        with pytest.raises(gd.NonDifferentiablePoint):
+            _response_slope(curve, theta)
+        return
+    folded_value, slope = _response_slope(curve, theta)
+    assert _bits(folded_value) == _bits(value)
+    assert _bits(slope) == _bits(response_eval(curve, theta, 1))

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from glacier_dyn import (
@@ -23,9 +25,9 @@ from glacier_dyn import (
 )
 from glacier_dyn import simulator
 from glacier_dyn.errors import DomainError
-from glacier_dyn.model import lambda0, make_jacobian
+from glacier_dyn.model import lambda0, make_jacobian, make_rhs, regime_of
 from glacier_dyn.oracle import direct_cycle, fd_jacobian
-from glacier_dyn.simulator import ModelKind, Termination
+from glacier_dyn.simulator import ModelKind, Termination, Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +187,21 @@ class TestFullModel:
         sup = float(np.max(np.maximum(np.abs(d_th), np.abs(d_lm))))
         assert sup <= 5e-3
 
+    @given(eps=st.floats(-0.04, 0.12), mu=st.floats(0.5, 6.0),
+           theta0=st.floats(1.0, 1.7), log_lam0=st.floats(-3.5, -0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_row_regimes_match_regime_of(self, hopf_model, eps, mu, theta0,
+                                         log_lam0):
+        params = hopf_model.with_overrides(epsilon=eps)
+        traj = integrate(params, mu, State(theta0, 10.0**log_lam0), 30.0,
+                         model=ModelKind.FULL)
+        for lam, label in zip(traj.lams.tolist(), traj.regimes):
+            # Rows at a located crossing and the nudged restart after it
+            # lie on a boundary to within its location tolerance.
+            gap = min(abs(lambda0(lam, eps)), abs(lam + eps / 2.0))
+            if gap > 1e-9:
+                assert regime_of(params, lam).value == label
+
 
 # ---------------------------------------------------------------------------
 # integrate: the stiff (Radau) path above STIFF_MU
@@ -222,9 +239,17 @@ class TestStiffPath:
         mu = 300.0
         assert mu > simulator.STIFF_MU
         stiff = integrate(params, mu, State(*start), t_end, model=kind)
-        monkeypatch.setattr(simulator, "STIFF_MU", math.inf)
-        ref = integrate(params, mu, State(*start), t_end, model=kind,
-                        rel_tol=1e-12, abs_tol=1e-14)
+        if kind is ModelKind.SIMPLIFIED:
+            # The explicit path of integrate is DOP853, which needs far
+            # fewer steps than the RK45 run this test compares against.
+            sol = solve_ivp(make_rhs(params, mu), (0.0, t_end), start,
+                            method="RK45", rtol=1e-12, atol=1e-14)
+            ref = Trajectory(sol.t, sol.y[0], sol.y[1], Termination.TIME_LIMIT
+                             if sol.status == 0 else None)
+        else:
+            monkeypatch.setattr(simulator, "STIFF_MU", math.inf)
+            ref = integrate(params, mu, State(*start), t_end, model=kind,
+                            rel_tol=1e-12, abs_tol=1e-14)
         assert len(stiff.times) < len(ref.times) / 2
         assert stiff.terminated is ref.terminated is Termination.TIME_LIMIT
         assert stiff.thetas[-1] == pytest.approx(ref.thetas[-1], abs=1e-8)
