@@ -43,7 +43,6 @@ from .errors import (
     TangencyWarning,
 )
 from .model import (
-    DimensionalState,
     ModelParams,
     PhysicalParams,
     Regime,
@@ -52,7 +51,6 @@ from .model import (
     SigmoidResponse,
     State,
     continental_albedo,
-    from_dimensional,
     ice_profile_height,
     lambda0,
     make_jacobian,
@@ -64,7 +62,6 @@ from .model import (
     response_eval,
     sheet_height_scale,
     sigmoid_eval,
-    to_dimensional,
     vector_field,
     vector_field_full,
 )
@@ -116,11 +113,10 @@ __all__ = [
     "NotHopfCandidate", "NotTangent", "OracleMismatch", "OutOfProfile", "ScaleError",
     "StiffnessError", "TangencyWarning",
     # model
-    "DimensionalState", "ModelParams", "PhysicalParams", "Regime", "Scales",
-    "SigmoidFamily", "SigmoidResponse", "State", "continental_albedo",
-    "from_dimensional", "ice_profile_height", "lambda0", "make_jacobian", "make_rhs",
-    "nondimensionalize", "nullcline_f", "nullcline_g", "regime_of", "response_eval",
-    "sheet_height_scale", "sigmoid_eval", "to_dimensional", "vector_field",
+    "ModelParams", "PhysicalParams", "Regime", "Scales", "SigmoidFamily",
+    "SigmoidResponse", "State", "continental_albedo", "ice_profile_height", "lambda0",
+    "make_jacobian", "make_rhs", "nondimensionalize", "nullcline_f", "nullcline_g",
+    "regime_of", "response_eval", "sheet_height_scale", "sigmoid_eval", "vector_field",
     "vector_field_full",
     # oracle
     "FdConfig", "VerificationReport", "bisect_lambda_branches", "fd_jacobian",

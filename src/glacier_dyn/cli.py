@@ -195,7 +195,7 @@ def cmd_analyze(args) -> int:
         except DegenerateSlope:
             row["thresholds"] = None
         try:
-            hopf = hopf_analysis(cp, model.alpha2, model.gamma, params=model)
+            hopf = hopf_analysis(cp, model.alpha2, model.gamma)
             row["hopf"] = {
                 "mu0": hopf.mu0,
                 "omega0": hopf.omega0,

@@ -146,41 +146,18 @@ def find_equilibria(
         nullcline_g(params, grid, 0)
     )
 
-    roots: list[float] = []
-    bracket_cells: set[int] = set()
-    for i in range(grid_n):
-        if h[i] == 0.0:
-            roots.append(grid[i])
-            bracket_cells.update((i - 1, i))
-        elif h[i] * h[i + 1] < 0:
-            roots.append(_refine_bisect(params, grid[i], grid[i + 1]))
-            bracket_cells.add(i)
-    if h[-1] == 0.0:
-        roots.append(grid[-1])
-        bracket_cells.add(grid_n - 1)
+    prod = h[:-1] * h[1:]
+    roots = [float(grid[i]) for i in np.flatnonzero(h == 0.0)]
+    roots += [_refine_bisect(params, grid[i], grid[i + 1]) for i in np.flatnonzero(prod < 0)]
 
-    # Tangency scan: a run of >= 3 cells with |h| small and no sign change
-    # yields one warning and one reported point per run.
+    # Tangency scan: each run of >= 3 quiet cells (|h| small at both ends, no
+    # zero and no sign change) yields one warning and one reported point.
     small = np.abs(h) < TANGENCY_TOL
-    i = 0
-    while i + 3 <= grid_n:
-        window = range(i, i + 3)
-        qualifies = (
-            all(small[j] and small[j + 1] for j in window)
-            and not any(j in bracket_cells for j in window)
-            and all(h[j] * h[j + 1] > 0 for j in window)
-        )
-        if not qualifies:
-            i += 1
+    quiet = small[:-1] & small[1:] & (prod > 0)
+    edges = np.diff(np.concatenate(([0], quiet.astype(np.int8), [0])))
+    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        if j - i < 3:
             continue
-        j = i + 3
-        while (
-            j < grid_n
-            and small[j + 1]
-            and h[j] * h[j + 1] > 0
-            and j not in bracket_cells
-        ):
-            j += 1
         res = minimize_scalar(
             lambda th: (nullcline_f(params, th, 0) - nullcline_g(params, th, 0)) ** 2,
             bounds=(grid[i], grid[j]),
@@ -194,7 +171,6 @@ def find_equilibria(
             )
         )
         roots.append(float(res.x))
-        i = j + 1
 
     points = []
     for th in sorted(set(roots)):

@@ -319,14 +319,6 @@ class State:
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class DimensionalState:
-    """Dimensional counterpart of State: temperature in K, extent in m."""
-
-    T_kelvin: float
-    l_m: float
-
-
 class Regime(enum.Enum):
     """Mass-balance regime of the full model."""
 
@@ -455,6 +447,7 @@ def regime_of(params: ModelParams, lam: float) -> Regime:
 # The scalar kernels below compare against these aliases: looking a member up
 # on its Enum class costs about 0.1 us per comparison.
 _TANH, _LOGISTIC, _ERF = SigmoidFamily.TANH, SigmoidFamily.LOGISTIC, SigmoidFamily.ERF
+_STAGNANT, _NUCLEATION = Regime.STAGNANT, Regime.NUCLEATION
 
 
 def _response(curve: SigmoidResponse, theta: float) -> float:
@@ -519,10 +512,10 @@ def _rates(params: ModelParams, mu: float, theta: float, lam: float, regime: Reg
         xi = _response(params.accum, theta)
         return dtheta, math.sqrt(max(lam, 0.0)) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
     lam = max(lam, LAMBDA_FLOOR)
-    if regime is Regime.STAGNANT:
+    if regime is _STAGNANT:
         return dtheta, -math.sqrt(lam)
     xi = _response(params.accum, theta)
-    if regime is Regime.NUCLEATION:
+    if regime is _NUCLEATION:
         return dtheta, -(xi / (2.0 * math.sqrt(lam))) * params.epsilon
     return dtheta, math.sqrt(lam) * ((1.0 + xi) * _snow_line(lam, params.epsilon)[0] - 1.0)
 
@@ -616,13 +609,3 @@ def nullcline_g(params: ModelParams, theta, order: int = 0):
     return (
         x3 * (1.0 + xi) ** 2 - 6.0 * x1 * x2 * (1.0 + xi) + 6.0 * x1**3
     ) / (4.0 * (1.0 + xi) ** 4)
-
-
-def to_dimensional(s, scales: Scales):
-    """Convert a State (or anything with .theta/.lam) to kelvin and meters."""
-    return DimensionalState(T_kelvin=scales.T_star * s.theta, l_m=scales.L_star * s.lam)
-
-
-def from_dimensional(d: DimensionalState, scales: Scales) -> State:
-    """Exact inverse of to_dimensional."""
-    return State(theta=d.T_kelvin / scales.T_star, lam=d.l_m / scales.L_star)

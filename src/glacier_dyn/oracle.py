@@ -116,26 +116,15 @@ def fd_jacobian(params: ModelParams, mu: float, s: State, cfg: FdConfig = FdConf
             f"lambda = {s.lam} leaves no finite-difference margin at step {h_lam}"
         )
 
-    def rhs(theta, lam):
-        return vector_field(params, mu, State(theta=theta, lam=lam))
+    def rhs(theta, lam, comp):
+        return vector_field(params, mu, State(theta=theta, lam=lam))[comp]
 
-    entries = {}
-    for which, h, key in (("theta", h_theta, "1"), ("lam", h_lam, "2")):
-        for comp, name in ((0, "a1"), (1, "a2")):
-            vals = []
-            step = h
-            for _ in range(cfg.richardson_levels):
-                if which == "theta":
-                    plus = rhs(s.theta + step, s.lam)[comp]
-                    minus = rhs(s.theta - step, s.lam)[comp]
-                else:
-                    plus = rhs(s.theta, s.lam + step)[comp]
-                    minus = rhs(s.theta, s.lam - step)[comp]
-                vals.append((plus - minus) / (2.0 * step))
-                step /= 2.0
-            entries[name + key] = _richardson(vals, order=2)
+    n = cfg.richardson_levels
     return Jacobian2(
-        a11=entries["a11"], a12=entries["a12"], a21=entries["a21"], a22=entries["a22"]
+        a11=_fd1(lambda th: rhs(th, s.lam, 0), s.theta, h_theta, n),
+        a12=_fd1(lambda lam: rhs(s.theta, lam, 0), s.lam, h_lam, n),
+        a21=_fd1(lambda th: rhs(th, s.lam, 1), s.theta, h_theta, n),
+        a22=_fd1(lambda lam: rhs(s.theta, lam, 1), s.lam, h_lam, n),
     )
 
 

@@ -130,8 +130,9 @@ _floor_event.terminal = True
 _floor_event.direction = -1
 
 
-def _segment_events(params: ModelParams, regime: Regime):
-    """Outbound boundary events for the regime, plus the floor.
+def _segment_events(params: ModelParams, regime: Regime | None):
+    """Outbound boundary events for the regime, plus the floor; only the floor
+    for the simplified model (regime None).
 
     Returns (events, targets) where targets[i] is the regime entered when
     events[i+1] fires (index 0 is always the floor).
@@ -161,8 +162,8 @@ def _segment_events(params: ModelParams, regime: Regime):
             ev_nucl.direction = -1
             events.append(ev_nucl)
             targets.append(Regime.NUCLEATION)
-    else:  # STAGNANT; lambda0 = 1 at the nucleation boundary, so the only exit
-        # is back through lambda0 = 0.
+    elif regime is Regime.STAGNANT:  # lambda0 = 1 at the nucleation boundary,
+        # so the only exit is back through lambda0 = 0.
         ev_l0.terminal = True
         ev_l0.direction = 1
         events.append(ev_l0)
@@ -189,7 +190,8 @@ def integrate(
     """Integrate from the initial state up to tau = t_end.
 
     The method follows mu: DOP853 up to STIFF_MU, Radau above it (see the
-    module docstring). The simplified model runs in one solver call; the
+    module docstring). Both models run one segment loop. The simplified
+    model (regime None) has no boundaries, so it runs in one segment; the
     full model restarts at every located regime-boundary crossing, nudging
     the state one tiny Euler step into the new regime so the next segment
     starts strictly off the boundary. Either model terminates early when
@@ -203,52 +205,32 @@ def integrate(
             raise ValueError(f"{name} must lie in [1e-14, 1e-3], got {tol}")
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and positive, got {mu}")
+    full = model is ModelKind.FULL
     stiff = mu > STIFF_MU
     method = "Radau" if stiff else "DOP853"
+    # Radau differences the full model's Jacobian; the simplified one is analytic.
+    extra = {"jac": make_jacobian(params, mu)} if stiff and not full else {}
 
-    if model is ModelKind.SIMPLIFIED:
-        rhs = make_rhs(params, mu)
-        extra = {"jac": make_jacobian(params, mu)} if stiff else {}
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            (initial.theta, initial.lam),
-            method=method,
-            rtol=rel_tol,
-            atol=abs_tol,
-            events=[_floor_event],
-            **extra,
-        )
-        _check_solver_status(sol, sol.y[:, -1])
-        terminated = (
-            Termination.LAMBDA_FLOOR if sol.status == 1 else Termination.TIME_LIMIT
-        )
-        return Trajectory(
-            times=sol.t.copy(),
-            thetas=sol.y[0].copy(),
-            lams=sol.y[1].copy(),
-            terminated=terminated,
-        )
-
-    # Full model: one solver segment per regime.
+    # One solver segment per regime.
     t0 = 0.0
     y0 = (initial.theta, initial.lam)
     all_t: list[np.ndarray] = []
     all_y: list[np.ndarray] = []
-    all_reg: list[str] = []
+    all_reg: list[str] | None = [] if full else None
     terminated = Termination.TIME_LIMIT
     for _ in range(_MAX_SEGMENTS):
-        regime = regime_of(params, max(y0[1], LAMBDA_FLOOR))
+        regime = regime_of(params, max(y0[1], LAMBDA_FLOOR)) if full else None
         rhs = make_rhs(params, mu, regime)
         events, targets = _segment_events(params, regime)
         sol = solve_ivp(
             rhs, (t0, t_end), y0, method=method, rtol=rel_tol, atol=abs_tol,
-            events=events,
+            events=events, **extra,
         )
         _check_solver_status(sol, sol.y[:, -1])
         all_t.append(sol.t)
         all_y.append(sol.y)
-        all_reg.extend([regime.value] * len(sol.t))
+        if full:
+            all_reg.extend([regime.value] * len(sol.t))
         if sol.status == 0:
             break
         fired = [i for i, te in enumerate(sol.t_events) if len(te)]
@@ -433,27 +415,24 @@ def sweep_mu(
     """Classification (and optional cycle data) along a mu grid.
 
     The tracked equilibrium does not move with mu (the nullclines do not
-    involve mu), so continuation is exact; each row still re-verifies the
-    equilibrium residual and is marked degenerate (kind None) if it fails.
+    involve mu), so continuation is exact. Its residual is checked once;
+    every row is marked degenerate (kind None) when it fails or when there
+    is no equilibrium.
     """
     grid = sorted(float(m) for m in mu_grid)
     if not grid or grid[0] <= 0:
         raise ValueError("mu grid must be nonempty and positive")
     if cp is None:
         points = find_equilibria(params)
-        if not points:
-            return BifurcationDiagram(rows=[BifRow(mu=m, kind=None) for m in grid])
         hopfish = [p for p in points if p.g1 > p.f1 > 0]
-        cp = hopfish[0] if hopfish else points[0]
+        cp = hopfish[0] if hopfish else points[0] if points else None
+    if cp is None or abs(
+        nullcline_f(params, cp.theta_c, 0) - nullcline_g(params, cp.theta_c, 0)
+    ) > 1e-9:
+        return BifurcationDiagram(rows=[BifRow(mu=m, kind=None) for m in grid])
 
     rows = []
-    residual = abs(
-        nullcline_f(params, cp.theta_c, 0) - nullcline_g(params, cp.theta_c, 0)
-    )
     for mu in grid:
-        if residual > 1e-9:
-            rows.append(BifRow(mu=mu, kind=None))
-            continue
         kind = classify(cp, mu, params.alpha2, params.gamma)
         period = amp_t = amp_l = None
         if detect_cycles and kind in (

@@ -13,9 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSlope, DomainError, NonDifferentiablePoint, NotHopfCandidate, NotTangent
+from .errors import DegenerateSlope, DomainError, NotHopfCandidate, NotTangent
 from .equilibria import CriticalPoint
-from .model import ModelParams, SigmoidFamily
 
 TANGENCY_REL_TOL = 1e-9
 HOPF_CENTER_REL_TOL = 1e-12
@@ -214,24 +213,18 @@ def hopf_analysis(
     cp: CriticalPoint,
     alpha2: float,
     gamma: float,
-    params: ModelParams | None = None,
     degeneracy_tol: float = 1e-8,
 ) -> HopfData:
     """Hopf point data at mu0 for a critical point with g' > f' > 0.
 
-    When params is supplied, piecewise-linear response curves are rejected:
-    the Lyapunov coefficient needs three derivatives of both curves.
+    l1 is local: it needs three derivatives of both response curves at
+    theta_c, which every CriticalPoint carries (critical_point_at raises
+    NonDifferentiablePoint at a piecewise-linear kink).
     """
     if not cp.g1 > cp.f1 > 0:
         raise NotHopfCandidate(
             f"need g' > f' > 0 at the critical point, got f' = {cp.f1}, g' = {cp.g1}"
         )
-    if params is not None:
-        for name in ("albedo", "accum"):
-            if getattr(params, name).family is SigmoidFamily.PIECEWISE_LINEAR:
-                raise NonDifferentiablePoint(
-                    f"{name} curve is piecewise linear; l1 needs three derivatives"
-                )
     th = mu_thresholds(cp, alpha2, gamma)
     l1 = lyapunov_l1(cp, alpha2, gamma)
     tol = degeneracy_tol * (1.0 + abs(l1))

@@ -4,11 +4,19 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from glacier_dyn import State, integrate, mu_thresholds
+from glacier_dyn import (
+    SigmoidFamily,
+    State,
+    critical_point_at,
+    integrate,
+    mu_thresholds,
+    numeric_l1,
+)
 from glacier_dyn.cli import main
 
 from conftest import PARAMS_DIR
@@ -152,6 +160,20 @@ class TestAnalyze:
         assert row["hopf"]["mu0"] == pytest.approx(2.613349739926736, rel=1e-9)
         assert row["hopf"]["criticality"] in ("supercritical", "subcritical")
         assert row["thresholds"]["omega0"] > 0
+
+    def test_piecewise_linear_curve_smooth_at_focus_gets_l1(self, capsys, hopf_model):
+        # l1 is local: a piecewise-linear accumulation curve with no kink at
+        # the focus has the three derivatives it needs there.
+        code, out = run_cli(capsys, "analyze", "--params", HOPF,
+                            "--set", "model.accum.family=piecewise_linear")
+        assert code == 0
+        row = json.loads(out)[-1]
+        params = hopf_model.with_overrides(
+            accum=replace(hopf_model.accum, family=SigmoidFamily.PIECEWISE_LINEAR))
+        cp = critical_point_at(params, row["theta_c"])
+        assert row["hopf"]["criticality"] == "subcritical"
+        assert row["hopf"]["l1"] == pytest.approx(145.267, rel=1e-5)
+        assert row["hopf"]["l1"] == pytest.approx(numeric_l1(params, cp), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

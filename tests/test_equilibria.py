@@ -110,6 +110,38 @@ def test_find_equilibria_reports_tangency(hopf_model):
     assert points[0].theta_c == pytest.approx(1.432, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "quiet_points, expected",
+    [
+        (range(10, 13), 0),  # a run of 2 quiet cells
+        (range(10, 14), 1),  # a run of 3
+        ([*range(10, 14), *range(50, 56)], 2),  # two runs
+        (range(97, 101), 1),  # a run that reaches the grid's end
+    ],
+)
+def test_tangency_runs_on_a_synthetic_grid(monkeypatch, hopf_model, quiet_points, expected):
+    # h = f - g is 1 everywhere except 1e-12 at the given grid indices of
+    # theta = 1, 1.01, ..., 2: no zeros and no sign changes, only quiet cells.
+    quiet = np.array(list(quiet_points))
+
+    def fake_f(params, theta, order=0):
+        idx = np.rint((np.asarray(theta) - 1.0) / 0.01).astype(int)
+        h = np.where(np.isin(idx, quiet), 1e-12, 1.0)
+        value = 0.1 + h if order == 0 else 0.0 * h
+        return float(value) if np.ndim(theta) == 0 else value
+
+    def fake_g(params, theta, order=0):
+        return (0.1 if order == 0 else 0.0) + 0.0 * np.asarray(theta)
+
+    monkeypatch.setattr(gd.equilibria, "nullcline_f", fake_f)
+    monkeypatch.setattr(gd.equilibria, "nullcline_g", fake_g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = gd.find_equilibria(hopf_model, theta_range=(1.0, 2.0), grid_n=100)
+    assert len([w for w in caught if issubclass(w.category, gd.TangencyWarning)]) == expected
+    assert len(points) == expected
+
+
 def test_critical_point_at_caches_consistent_values(hopf_cp, hopf_model):
     assert hopf_cp.lambda_c == pytest.approx(
         nullcline_g(hopf_model, hopf_cp.theta_c, 0), rel=1e-14

@@ -344,7 +344,7 @@ class TestPoincareCycle:
         params = hopf_model.with_overrides(
             albedo=replace(hopf_model.albedo, steepness=0.03))
         cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
-        hopf = hopf_analysis(cp, params.alpha2, params.gamma, params=params)
+        hopf = hopf_analysis(cp, params.alpha2, params.gamma)
         assert hopf.l1 == pytest.approx(107.0, rel=0.01)
         assert hopf.mu0 == pytest.approx(0.502, rel=1e-3)
         mu = 0.99 * hopf.mu0

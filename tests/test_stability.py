@@ -238,9 +238,7 @@ def test_lyapunov_l1_independent_of_alpha2_gamma(hopf_cp):
 
 
 def test_hopf_analysis_summary(hopf_cp, hopf_model):
-    data = gd.hopf_analysis(
-        hopf_cp, hopf_model.alpha2, hopf_model.gamma, params=hopf_model
-    )
+    data = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
     assert data.mu0 == pytest.approx(2.613349739926736, rel=1e-10)
     assert data.omega0 == pytest.approx(5.051892105179545, rel=1e-10)
     assert data.l1 == pytest.approx(-1337.9489945722878, rel=1e-9)
@@ -250,7 +248,7 @@ def test_hopf_analysis_summary(hopf_cp, hopf_model):
 
 def test_results_are_plain_floats(hopf_cp, hopf_model):
     th = gd.mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
-    hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma, params=hopf_model)
+    hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
     values = [*vars(hopf_cp).values(), *vars(th).values(), hopf.mu0, hopf.omega0, hopf.l1,
               hopf.transversality]
     assert [type(v) for v in values] == [float] * len(values)
@@ -261,20 +259,6 @@ def test_hopf_analysis_rejects_inadmissible(table1_model):
     for cp in points:  # none of the three satisfies g' > f' > 0
         with pytest.raises(gd.NotHopfCandidate):
             gd.hopf_analysis(cp, table1_model.alpha2, table1_model.gamma)
-
-
-def test_hopf_analysis_rejects_piecewise_linear(hopf_cp, hopf_model):
-    pwl = hopf_model.with_overrides(
-        accum=gd.SigmoidResponse(
-            limit_minus=0.1,
-            limit_plus=0.5,
-            center=1.43,
-            steepness=0.0027,
-            family=gd.SigmoidFamily.PIECEWISE_LINEAR,
-        )
-    )
-    with pytest.raises(gd.NonDifferentiablePoint):
-        gd.hopf_analysis(hopf_cp, pwl.alpha2, pwl.gamma, params=pwl)
 
 
 def test_hopf_analysis_degenerate_with_loose_tolerance(hopf_cp, hopf_model):
