@@ -308,6 +308,8 @@ def cmd_nullclines(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     model, scales = _load(args)
     mu = _resolve_mu(args, scales)
     report = run_verification(model, mu=mu, seed=args.seed)

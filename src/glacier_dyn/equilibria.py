@@ -15,10 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
 from .errors import DomainError, NoBranches, TangencyWarning
-from .model import ModelParams, nullcline_f, nullcline_g, response_eval
+from .model import ModelParams, bisect, nullcline_f, nullcline_g, response_eval
 
 ROOT_TOL = 1e-12
 TANGENCY_TOL = 1e-9
@@ -158,6 +157,8 @@ def find_equilibria(
     for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         if j - i < 3:
             continue
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda th: (nullcline_f(params, th, 0) - nullcline_g(params, th, 0)) ** 2,
             bounds=(grid[i], grid[j]),

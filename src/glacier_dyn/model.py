@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     ComplexSnowline,
@@ -80,7 +79,11 @@ def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
         return _tanh_derivs(math.tanh(half) if scalar else np.tanh(half), order) / 2.0**order
     if family is SigmoidFamily.ERF:
         if order == 0:
-            return math.erf(x) if scalar else erf(x)
+            if scalar:
+                return math.erf(x)
+            from scipy.special import erf  # the one array path that needs scipy
+
+            return erf(x)
         d1 = (2.0 / math.sqrt(math.pi)) * (math.exp(-x * x) if scalar else np.exp(-x * x))
         if order == 1:
             return d1
@@ -97,6 +100,34 @@ def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
     if scalar:
         return 1.0 if order == 1 and abs(x) < 1.0 else 0.0
     return np.where(np.abs(x) < 1.0, 1.0, 0.0) if order == 1 else np.zeros_like(x)
+
+
+def bisect(f, a: float, b: float, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100) -> float:
+    """Root of f in [a, b]: scipy.optimize.bisect's loop and errors step for
+    step, so roots keep its bits without importing scipy."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    a, b = float(a), float(b)
+    fa, fb = call(a), call(b)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    dm = b - a
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = a + dm
+        fm = call(xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {a}")
 
 
 def _require_finite(record, names) -> None:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import bisect, minimize_scalar
 
 from .equilibria import (
     CriticalPoint,
@@ -29,6 +27,7 @@ from .model import (
     SigmoidFamily,
     SigmoidResponse,
     State,
+    bisect,
     lambda0,
     response_eval,
     vector_field,
@@ -286,6 +285,8 @@ def grid_max_lambda0(epsilon: float) -> tuple[float, float]:
     if lo > 2.0 * h and slope(lo) > 0 > slope(hi):
         lam_max = bisect(slope, lo, hi, xtol=1e-12)
     else:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda lam: -lambda0(lam, epsilon),
             bounds=(lo, hi),
@@ -310,6 +311,8 @@ def direct_cycle(
         return y[0] - cp.theta_c
 
     section.direction = 1
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, y: vector_field(params, mu, State(theta=y[0], lam=y[1])), (0.0, t_end),
         (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853", rtol=1e-10, atol=1e-12,

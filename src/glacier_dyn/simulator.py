@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .equilibria import CriticalPoint, find_equilibria
 from .errors import DomainError, GlacierDynError, StiffnessError
@@ -60,6 +59,13 @@ _SHOOT_RTOL = 1e-11
 _SHOOT_XTOL = 1e-10
 _LAP_CAP = 4.0
 _NEWTON_LAPS = 12
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on call: commands that integrate nothing skip scipy."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 class ModelKind(enum.Enum):

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +403,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        code = main(["verify", "--params", HOPF, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: --seed must be a non-negative integer, got -1" in captured.err
+
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("key", ["model.alpha1", "model.epsilon",
@@ -424,3 +434,22 @@ class TestOutput:
         _, first = run_cli(capsys, "analyze", "--params", HOPF)
         _, second = run_cli(capsys, "analyze", "--params", HOPF)
         assert first == second
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    # scipy takes most of a second to import; the commands that integrate
+    # nothing must not pay for it, whatever a later edit imports at top level.
+    script = f"""
+import sys
+from glacier_dyn.cli import main
+out = {str(tmp_path / "out")!r}
+for params in {[TABLE1, FIG2, HOPF]!r}:
+    for argv in (["analyze"], ["verify", "--seed", "0"],
+                 ["sweep", "--mu-min", "0.5", "--mu-max", "5", "--mu-steps", "9"]):
+        assert main(argv + ["--params", params, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect as scipy_bisect
 
 import glacier_dyn as gd
-from glacier_dyn.model import nullcline_f, nullcline_g
+from glacier_dyn.model import bisect, nullcline_f, nullcline_g
 
 from conftest import PARAMS_DIR
 
@@ -361,3 +362,43 @@ def test_benchmark_traced_names_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (modname, attr)
+
+
+def test_bisect_matches_scipy_bit_for_bit():
+    # 10,002 seeded brackets of a monotone tanh-plus-cubic, from 1e-14 to 10
+    # wide, taking the three tolerances the package uses in turn.
+    rng = np.random.default_rng(20261018)
+    n = 10_002
+    draws = zip(
+        rng.uniform(-3.0, 3.0, n).tolist(),
+        (10.0 ** rng.uniform(-2.0, 3.0, n)).tolist(),
+        rng.uniform(0.0, 2.0, n).tolist(),
+        (10.0 ** rng.uniform(-14.0, 1.0, n)).tolist(),
+        (10.0 ** rng.uniform(-14.0, 1.0, n)).tolist(),
+        np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist(),
+        [1e-15, 1e-12, 2e-12] * (n // 3),
+    )
+    for r, k, d, below, above, sign, xtol in draws:
+
+        def f(x, r=r, k=k, d=d, sign=sign):
+            return sign * (math.tanh(k * (x - r)) + d * (x - r) ** 3)
+
+        ours = bisect(f, r - below, r + above, xtol=xtol)
+        assert type(ours) is float
+        assert ours == scipy_bisect(f, r - below, r + above, xtol=xtol), (r, k, d, below, above)
+    # Exact zeros at either end are returned as they are.
+    assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+def test_bisect_raises_what_scipy_raises():
+    cases = [
+        ((lambda x: x * x + 1.0, -1.0, 1.0), {}, ValueError),  # same sign
+        ((lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, -1.0, 1.0), {}, ValueError),  # NaN
+        ((lambda x: x - 1.0 / 3.0, 0.0, 1.0), {"xtol": 1e-15, "maxiter": 5}, RuntimeError),
+    ]
+    for args, kwargs, exc in cases:
+        with pytest.raises(exc):
+            scipy_bisect(*args, **kwargs)
+        with pytest.raises(exc):
+            bisect(*args, **kwargs)
