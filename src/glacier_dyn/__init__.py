@@ -79,6 +79,7 @@ from .simulator import (
     BifurcationDiagram,
     LimitCycle,
     ModelKind,
+    SolverStats,
     Termination,
     Trajectory,
     integrate,
@@ -122,8 +123,8 @@ __all__ = [
     "FdConfig", "VerificationReport", "bisect_lambda_branches", "fd_jacobian",
     "grid_max_lambda0", "numeric_l1", "run_verification",
     # simulator
-    "BifRow", "BifurcationDiagram", "LimitCycle", "ModelKind", "Termination",
-    "Trajectory", "integrate", "poincare_cycle", "sweep_mu",
+    "BifRow", "BifurcationDiagram", "LimitCycle", "ModelKind", "SolverStats",
+    "Termination", "Trajectory", "integrate", "poincare_cycle", "sweep_mu",
     # stability
     "CenterManifoldVerdict", "Classification", "Criticality", "HopfData", "Jacobian2",
     "MuThresholds", "center_manifold", "classify", "eigenvalues", "hopf_analysis",

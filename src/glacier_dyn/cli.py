@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scales", help="derived scales and dimensionless numbers")
     common(p)
@@ -380,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical cross-check suite")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the oracle draws")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,17 +3,19 @@
 `integrate` chooses its method from mu. theta relaxes about mu times faster
 than lambda, so for large mu an explicit step is capped by stability rather
 than accuracy. Up to STIFF_MU it uses the explicit Dormand-Prince pair of
-order 8(5,3) (scipy's DOP853); at the default tolerance of 1e-9 it takes less
-than half the steps of a 5(4) pair on hopf_demo, for about the same number of
-RHS calls (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10). Above
-STIFF_MU it uses the implicit Radau IIA method of order 5, with the analytic
-Jacobian for the simplified model and finite differences for the full one.
-The field and its Jacobian are model.make_rhs and model.make_jacobian.
-Either way events are located on dense output. The full model is
-integrated piecewise: within a segment the mass-balance regime is fixed, and
-each regime arms only the events for boundaries it can actually leave
-through, so a restart exactly on a boundary zero cannot re-trigger the
-crossing just handled.
+order 8(5,3); at the default tolerance of 1e-9 it takes less than half the
+steps of a 5(4) pair on hopf_demo, for about the same number of RHS calls
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.6 and II.10). That pair
+runs in _dop853, a loop on two Python floats with scipy's DOP853 tableau and
+step controller that calls model._rates directly: scipy's solve_ivp spends
+most of its time on per-step array bookkeeping for a 2-vector. Above
+STIFF_MU it uses scipy's implicit Radau IIA method of order 5, on
+model.make_rhs with the analytic model.make_jacobian for the simplified
+model and finite differences for the full one. Either way events are
+located on dense output. The full model is integrated piecewise: within a
+segment the mass-balance regime is fixed, and each regime arms only the
+events for boundaries it can actually leave through, so a restart exactly
+on a boundary zero cannot re-trigger the crossing just handled.
 
 Limit cycles are shot, not waited for: Newton's method on the return map of
 a section (Kuznetsov, Elements of Applied Bifurcation Theory, 3.5 and 10.3).
@@ -24,6 +26,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from operator import mul
 
 import numpy as np
 
@@ -34,7 +38,9 @@ from .model import (
     ModelParams,
     Regime,
     State,
+    _rates,
     _snow_line,
+    bisect,
     make_jacobian,
     make_rhs,
     nullcline_f,
@@ -80,6 +86,20 @@ class Termination(enum.Enum):
 
 
 @dataclass
+class SolverStats:
+    """What integrate's solver did, summed over its segments: RHS and
+    Jacobian evaluations, accepted steps, rejected steps (None for Radau,
+    whose scipy result does not report them) and events located."""
+
+    method: str
+    nfev: int = 0
+    njev: int = 0
+    steps: int = 0
+    rejected: int | None = 0
+    events: int = 0
+
+
+@dataclass
 class Trajectory:
     """Integration output as parallel arrays (times strictly increasing)."""
 
@@ -88,6 +108,7 @@ class Trajectory:
     lams: np.ndarray
     terminated: Termination
     regimes: list[str] | None = None
+    stats: SolverStats | None = None
 
     @property
     def states(self) -> list[State]:
@@ -184,6 +205,118 @@ def _check_solver_status(sol, last_y):
         )
 
 
+_EPS = math.ulp(1.0)
+
+
+@cache
+def _dop853_tableau() -> tuple:
+    """scipy's DOP853 coefficients as Python floats, read on first use: row s
+    of A (row 12 is B), E3, E5 and the dense-output matrix D."""
+    from scipy.integrate._ivp import dop853_coefficients as c
+
+    rows = [tuple(c.A[s, :s].tolist()) for s in range(c.N_STAGES_EXTENDED)]
+    return rows, c.E3.tolist(), c.E5.tolist(), [tuple(d) for d in c.D.tolist()]
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
+    """scipy's DOP853 on two floats: rates(theta, lam) is an autonomous field.
+
+    Same tableau, initial step, error norm, step controller, 10-ulp minimum
+    step (StiffnessError below it) and 100*eps floor on rtol as
+    solve_ivp(method="DOP853"). After each step every event is checked for a
+    sign change in its direction; only then is the 7th-order dense output
+    built and the root bisected on it. A terminal event ends the run with its
+    root as the last row. Counts go into stats. Returns (times, thetas, lams,
+    index of the terminal event or None).
+    """
+    rows, e3, e5, dense = _dop853_tableau()
+    rtol = max(rtol, 100 * _EPS)
+    t, (th, la) = t0, y0
+    k0, k1 = [0.0] * 16, [0.0] * 16
+    f0, f1 = rates(th, la)
+    # select_initial_step for an error estimator of order 7.
+    s0, s1 = atol + abs(th) * rtol, atol + abs(la) * rtol
+    d0, d1 = _rms(th / s0, la / s1), _rms(f0 / s0, f1 / s1)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    g0, g1 = rates(th + h0 * f0, la + h0 * f1)
+    d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, t_end - t)
+    stats.nfev += 2
+    gs = [ev(t, y0) for ev in events]
+    out = [(t, th, la)]
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("Required step size is less than spacing between numbers.",
+                                     time=t, state=(th, la))
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            k0[0], k1[0] = f0, f1
+            for s in range(1, 13):  # stage 12 is the new state and its rates
+                a = rows[s]
+                y0s, y1s = th + sum(map(mul, a, k0)) * h, la + sum(map(mul, a, k1)) * h
+                k0[s], k1[s] = rates(y0s, y1s)
+            stats.nfev += 12
+            s0 = atol + max(abs(th), abs(y0s)) * rtol
+            s1 = atol + max(abs(la), abs(y1s)) * rtol
+            a5, b5 = sum(map(mul, e5, k0)) / s0, sum(map(mul, e5, k1)) / s1
+            a3, b3 = sum(map(mul, e3, k0)) / s0, sum(map(mul, e3, k1)) / s1
+            n5, n3 = a5 * a5 + b5 * b5, a3 * a3 + b3 * b3
+            err = h * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
+            if err < 1:
+                factor = min(10.0, 0.9 * err**-0.125) if err else 10.0
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err**-0.125)
+            rejected = True
+            stats.rejected += 1
+        t_old, th_old, la_old, t = t, th, la, t_new
+        th, la, f0, f1 = y0s, y1s, k0[12], k1[12]
+        stats.steps += 1
+        new_gs = [ev(t, (th, la)) for ev in events]
+        hits = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
+                if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
+        gs = new_gs
+        if hits:
+            for s in range(13, 16):
+                a = rows[s]
+                k0[s], k1[s] = rates(th_old + sum(map(mul, a, k0)) * h,
+                                     la_old + sum(map(mul, a, k1)) * h)
+            stats.nfev += 3
+            dth, dla = th - th_old, la - la_old
+            p0 = [dth, h * k0[0] - dth, 2 * dth - h * (f0 + k0[0])]
+            p1 = [dla, h * k1[0] - dla, 2 * dla - h * (f1 + k1[0])]
+            p0 += [h * sum(map(mul, d, k0)) for d in dense]
+            p1 += [h * sum(map(mul, d, k1)) for d in dense]
+
+            def sol(tau):
+                x, q0, q1 = (tau - t_old) / h, 0.0, 0.0
+                for i in range(6, -1, -1):
+                    w = x if i % 2 == 0 else 1.0 - x
+                    q0, q1 = (q0 + p0[i]) * w, (q1 + p1[i]) * w
+                return th_old + q0, la_old + q1
+
+            roots = sorted(
+                (bisect(lambda tau: events[i](tau, sol(tau)), t_old, t,
+                        xtol=4 * _EPS, rtol=4 * _EPS), i)
+                for i in hits
+            )
+            for root, i in roots:
+                stats.events += 1
+                if events[i].terminal:
+                    out.append((root, *sol(root)))
+                    return (*zip(*out), i)
+        out.append((t, th, la))
+    return (*zip(*out), None)
+
+
 def integrate(
     params: ModelParams,
     mu: float,
@@ -195,8 +328,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the initial state up to tau = t_end.
 
-    The method follows mu: DOP853 up to STIFF_MU, Radau above it (see the
-    module docstring). Both models run one segment loop. The simplified
+    The method follows mu: the in-package DOP853 loop up to STIFF_MU, scipy's
+    Radau above it (see the module docstring); stats counts what the solver
+    did. Both models run one segment loop. The simplified
     model (regime None) has no boundaries, so it runs in one segment; the
     full model restarts at every located regime-boundary crossing, nudging
     the state one tiny Euler step into the new regime so the next segment
@@ -213,64 +347,69 @@ def integrate(
         raise DomainError(f"mu must be finite and positive, got {mu}")
     full = model is ModelKind.FULL
     stiff = mu > STIFF_MU
-    method = "Radau" if stiff else "DOP853"
     # Radau differences the full model's Jacobian; the simplified one is analytic.
     extra = {"jac": make_jacobian(params, mu)} if stiff and not full else {}
+    stats = SolverStats("Radau", rejected=None) if stiff else SolverStats("DOP853")
 
     # One solver segment per regime.
     t0 = 0.0
     y0 = (initial.theta, initial.lam)
-    all_t: list[np.ndarray] = []
-    all_y: list[np.ndarray] = []
+    all_t, all_th, all_la = [], [], []
     all_reg: list[str] | None = [] if full else None
     terminated = Termination.TIME_LIMIT
     for _ in range(_MAX_SEGMENTS):
         regime = regime_of(params, max(y0[1], LAMBDA_FLOOR)) if full else None
-        rhs = make_rhs(params, mu, regime)
         events, targets = _segment_events(params, regime)
-        sol = solve_ivp(
-            rhs, (t0, t_end), y0, method=method, rtol=rel_tol, atol=abs_tol,
-            events=events, **extra,
-        )
-        _check_solver_status(sol, sol.y[:, -1])
-        all_t.append(sol.t)
-        all_y.append(sol.y)
+        if stiff:
+            sol = solve_ivp(
+                make_rhs(params, mu, regime), (t0, t_end), y0, method="Radau",
+                rtol=rel_tol, atol=abs_tol, events=events, **extra,
+            )
+            _check_solver_status(sol, sol.y[:, -1])
+            ts, ths, las = sol.t, sol.y[0], sol.y[1]
+            fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
+            stats.nfev += sol.nfev
+            stats.njev += sol.njev
+            stats.steps += len(ts) - 1
+            stats.events += fired is not None
+        else:
+            ts, ths, las, fired = _dop853(
+                lambda th, la, regime=regime: _rates(params, mu, th, la, regime),
+                t0, y0, t_end, rel_tol, abs_tol, events, stats,
+            )
+        all_t.append(ts)
+        all_th.append(ths)
+        all_la.append(las)
         if full:
-            all_reg.extend([regime.value] * len(sol.t))
-        if sol.status == 0:
+            all_reg.extend([regime.value] * len(ts))
+        if fired is None:
             break
-        fired = [i for i, te in enumerate(sol.t_events) if len(te)]
-        if 0 in fired:
+        if fired == 0:
             terminated = Termination.LAMBDA_FLOOR
             break
-        idx = fired[0]
-        target = targets[idx - 1]
-        t_star = float(sol.t[-1])
-        y_star = sol.y[:, -1]
+        target = targets[fired - 1]
+        t_star, y_star = float(ts[-1]), (float(ths[-1]), float(las[-1]))
         # Euler nudge into the target regime keeps the restart strictly off
         # the boundary zero (well inside the 1e-10 location tolerance).
-        nudge_rhs = make_rhs(params, mu, target)
-        dy = nudge_rhs(t_star, y_star)
+        dy = _rates(params, mu, *y_star, target)
         t0 = t_star + _NUDGE
         y0 = (y_star[0] + _NUDGE * dy[0], y_star[1] + _NUDGE * dy[1])
         if t0 >= t_end:
             break
     else:
-        last = all_y[-1][:, -1]
         raise StiffnessError(
             "regime switching did not settle (segment budget exhausted)",
             time=float(all_t[-1][-1]),
-            state=(float(last[0]), float(last[1])),
+            state=(float(all_th[-1][-1]), float(all_la[-1][-1])),
         )
 
-    times = np.concatenate(all_t)
-    ys = np.concatenate(all_y, axis=1)
     return Trajectory(
-        times=times,
-        thetas=ys[0].copy(),
-        lams=ys[1].copy(),
+        times=np.concatenate(all_t),
+        thetas=np.concatenate(all_th),
+        lams=np.concatenate(all_la),
         terminated=terminated,
         regimes=all_reg,
+        stats=stats,
     )
 
 

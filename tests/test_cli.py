@@ -411,6 +411,16 @@ class TestVerify:
         assert "error: --seed must be a non-negative integer, got -1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_seed_only_on_verify(capsys, command):
+    # Only verify draws anything at random; elsewhere --seed is an argparse error.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--params", HOPF, "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert main(["verify", "--params", HOPF, "--seed", "0"]) == 0
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("key", ["model.alpha1", "model.epsilon",
                                  "model.accum.center"])

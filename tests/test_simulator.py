@@ -24,7 +24,7 @@ from glacier_dyn import (
     vector_field,
 )
 from glacier_dyn import simulator
-from glacier_dyn.errors import DomainError
+from glacier_dyn.errors import DomainError, StiffnessError
 from glacier_dyn.model import lambda0, make_jacobian, make_rhs, regime_of
 from glacier_dyn.oracle import direct_cycle, fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination, Trajectory
@@ -201,6 +201,105 @@ class TestFullModel:
             gap = min(abs(lambda0(lam, eps)), abs(lam + eps / 2.0))
             if gap > 1e-9:
                 assert regime_of(params, lam).value == label
+
+
+# ---------------------------------------------------------------------------
+# integrate: the explicit DOP853 kernel against scipy's DOP853
+# ---------------------------------------------------------------------------
+
+
+def _solve_ivp_kernel(rates, t0, y0, t_end, rtol, atol, events, stats):
+    """simulator._dop853's contract, met by solve_ivp: the second route."""
+    sol = solve_ivp(lambda t, y: rates(float(y[0]), float(y[1])), (t0, t_end), y0,
+                    method="DOP853", rtol=rtol, atol=atol, events=events)
+    assert sol.status >= 0, sol.message
+    fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
+    return sol.t, sol.y[0], sol.y[1], fired
+
+
+def _both_routes(monkeypatch, params, start, t_end, mu=1.0, **kwargs):
+    ours = integrate(params, mu, State(*start), t_end, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_dop853", _solve_ivp_kernel)
+        theirs = integrate(params, mu, State(*start), t_end, **kwargs)
+    return ours, theirs
+
+
+class TestExplicitKernel:
+    @pytest.fixture(scope="class")
+    def cycle_run(self, hopf_model, hopf_cp):
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        mu = 1.35 * th.mu0
+        start = (hopf_cp.theta_c + 3e-4, hopf_cp.lambda_c - 2e-4)
+        traj = integrate(hopf_model, mu, State(*start), 150.0)
+        return hopf_model, mu, start, traj
+
+    def test_cycle_rows_match_tight_solve_ivp(self, cycle_run):
+        params, mu, start, traj = cycle_run
+        ref = solve_ivp(make_rhs(params, mu), (0.0, 150.0), start, method="DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True).sol(traj.times)
+        err = np.maximum(np.abs(traj.thetas - ref[0]), np.abs(traj.lams - ref[1]))
+        assert float(err.max()) <= 1e-7
+
+    def test_cycle_steps_match_scipy(self, cycle_run):
+        params, mu, start, traj = cycle_run
+        sol = solve_ivp(make_rhs(params, mu), (0.0, 150.0), start, method="DOP853",
+                        rtol=1e-9, atol=1e-11)
+        steps = len(sol.t) - 1
+        assert traj.stats.method == "DOP853"
+        assert traj.stats.steps == len(traj.times) - 1
+        assert abs(traj.stats.steps - steps) <= 0.02 * steps
+        assert abs(traj.stats.nfev - sol.nfev) <= 0.02 * sol.nfev
+        # Every attempted step costs 12 RHS calls, plus 2 for the first step.
+        assert traj.stats.nfev == 2 + 12 * (traj.stats.steps + traj.stats.rejected)
+        assert traj.stats.njev == traj.stats.events == 0
+
+    @pytest.mark.parametrize("eps, start, t_end", [(-0.018, (1.39, 0.0045), 200.0),
+                                                   (None, (1.6, 0.2), 50.0)])
+    def test_full_model_switches_match_solve_ivp(self, hopf_model, monkeypatch,
+                                                 eps, start, t_end):
+        params = hopf_model if eps is None else hopf_model.with_overrides(epsilon=eps)
+        ours, theirs = _both_routes(monkeypatch, params, start, t_end,
+                                    model=ModelKind.FULL)
+        got, want = _switches(ours), _switches(theirs)
+        assert got and [r for *_, r in got] == [r for *_, r in want]
+        for (t_a, _, _), (t_b, _, _) in zip(got, want):
+            assert t_a == pytest.approx(t_b, abs=1e-10)
+        assert ours.stats.events == len(got) + (ours.terminated is Termination.LAMBDA_FLOOR)
+
+    def test_floor_stop_matches_solve_ivp(self, hopf_model, monkeypatch):
+        ours, theirs = _both_routes(monkeypatch, hopf_model, (1.6, 0.2), 50.0,
+                                    model=ModelKind.FULL)
+        assert ours.terminated is theirs.terminated is Termination.LAMBDA_FLOOR
+        assert ours.times[-1] == pytest.approx(theirs.times[-1], abs=1e-9)
+
+    def test_rtol_floor_of_100_eps(self, hopf_model):
+        # As in scipy, rtol is raised to 100 eps: 1e-14 runs as 2.2e-14.
+        runs = [integrate(hopf_model, 3.5, State(1.43, 0.075), 10.0, rel_tol=r)
+                for r in (1e-14, 100 * math.ulp(1.0))]
+        assert runs[0].stats == runs[1].stats
+        np.testing.assert_array_equal(runs[0].times, runs[1].times)
+
+    def test_blow_up_raises_stiffness_error(self):
+        # theta' = theta^2 from theta = 1 blows up at t = 1: the step falls
+        # below 10 ulp of t, where solve_ivp returns status -1.
+        def rates(theta, lam):
+            return theta * theta, 0.0
+
+        sol = solve_ivp(lambda t, y: rates(*y), (0.0, 2.0), (1.0, 0.0),
+                        method="DOP853", rtol=1e-9, atol=1e-11)
+        assert sol.status == -1
+        with pytest.raises(StiffnessError) as exc:
+            simulator._dop853(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
+                              simulator.SolverStats("DOP853"))
+        assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
+
+    def test_radau_path_reports_stats(self, hopf_model):
+        traj = integrate(hopf_model, 300.0, State(1.40, 0.05), 1.0)
+        assert traj.stats.method == "Radau"
+        assert traj.stats.rejected is None
+        assert traj.stats.steps == len(traj.times) - 1
+        assert traj.stats.nfev > 0 and traj.stats.njev > 0
 
 
 # ---------------------------------------------------------------------------
