@@ -3,8 +3,17 @@
 Parameter files are JSON with top-level blocks "physical" (dimensional
 inputs) and/or "model" (dimensionless parameters). When both are present the
 model block defines the dynamics and the physical block supplies conversion
-scales. Every command is deterministic given the file and flags; randomized
-verification draws are seeded via --seed.
+scales. Every command reads the file through `_load`, which applies the --set
+overrides and validates each block into its record; a value that is not a
+number is a configuration error naming its dotted key. Every command is
+deterministic given the file and flags; randomized verification draws are
+seeded via --seed.
+
+Each command takes only the options it reads: --mu on analyze, simulate and
+verify; --format (csv or json, written by `_write_table`) on scales, sweep
+and nullclines; --seed on verify. analyze always prints JSON, simulate CSV
+and verify text. A missing required option or one the command does not take
+is an argparse error and exits 2.
 
 Exit codes: 0 success, 2 configuration error, 3 domain termination (lambda
 floor reached during simulate), 4 verification failure.
@@ -18,6 +27,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 from . import __version__
 from .equilibria import find_equilibria
@@ -39,11 +49,11 @@ from .stability import classify, hopf_analysis, mu_thresholds
 M_PER_KM = 1000.0
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _load_raw(path: str) -> dict:
+def _load(args) -> tuple[PhysicalParams | None, ModelParams | None]:
+    """The records of the physical and model blocks of --params (None where a
+    block is absent) after the --set overrides. An override value is read as
+    JSON, or else kept as a bare string (e.g. a family name)."""
+    path = args.params
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -53,45 +63,38 @@ def _load_raw(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    for item in args.set:
+        key, eq, text = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--set needs key=value, got {item!r}")
+        *parents, leaf = key.split(".")
+        node = raw
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set path {key!r} descends through a scalar")
+        try:
+            node[leaf] = json.loads(text)
+        except json.JSONDecodeError:
+            node[leaf] = text
     unknown = set(raw) - {"physical", "model"}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    return raw
+    physical = PhysicalParams.from_dict(raw["physical"]) if "physical" in raw else None
+    model = ModelParams.from_dict(raw["model"]) if "model" in raw else None
+    return physical, model
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text  # bare strings (e.g. family names) pass through
-
-
-def _apply_overrides(raw: dict, sets: list[str]) -> dict:
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        path = key.split(".")
-        node = raw
-        for part in path[:-1]:
-            nxt = node.setdefault(part, {})
-            if not isinstance(nxt, dict):
-                raise ConfigError(f"--set path {key!r} descends through a scalar")
-            node = nxt
-        node[path[-1]] = _parse_value(value)
-    return raw
-
-
-def _load(args) -> tuple[ModelParams, Scales | None]:
+def _dynamics(args) -> tuple[ModelParams, Scales | None]:
     """The model that defines the dynamics, and the scales when there is a
-    physical block, from --params with the --set overrides applied. A model
-    block takes precedence over the parameters derived from a physical one."""
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    model = scales = None
-    if "physical" in raw:
-        model, scales = nondimensionalize(PhysicalParams.from_dict(raw["physical"]))
-    if "model" in raw:
-        model = ModelParams.from_dict(raw["model"])
+    physical block. A model block takes precedence over the parameters
+    derived from a physical one."""
+    physical, model = _load(args)
+    scales = None
+    if physical is not None:
+        derived, scales = nondimensionalize(physical)
+        if model is None:
+            model = derived
     if model is None:
         raise ConfigError("need a 'model' or 'physical' block to define the dynamics")
     return model, scales
@@ -113,96 +116,73 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return format(float(value), ".17g") if isinstance(value, float) else str(value)
+
+
+def _write_table(header: list[str], rows, fmt: str, out_path: str | None):
+    """Rows as CSV (None is an empty cell) or as a JSON list of objects keyed
+    by the header."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    else:
+        lines = [",".join(header)]
+        lines += [",".join(_cell(v) for v in row) for row in rows]
+        text = "\n".join(lines)
+    _emit(text + "\n", out_path)
 
 
 def cmd_scales(args) -> int:
-    raw = _apply_overrides(_load_raw(args.params), args.set)
-    if "physical" not in raw:
+    physical, _ = _load(args)
+    if physical is None:
         raise ConfigError("scales needs a 'physical' block")
-    physical = PhysicalParams.from_dict(raw["physical"])
     model, scales = nondimensionalize(physical)
     H = sheet_height_scale(physical.tau0, physical.rho_i, physical.grav)
+    # (JSON key, value, text line); the km figure shares the L* line.
+    quantities = [
+        ("T_star_K", scales.T_star, "T*      = {:.6g} K\n"),
+        ("L_star_m", scales.L_star, "L*      = {:.6g} m"),
+        ("L_star_km", scales.L_star / M_PER_KM, " ({:.6g} km)\n"),
+        ("t_star_yr", scales.t_star, "t*      = {:.6g} yr\n"),
+        ("mu", scales.mu, "mu      = {:.6g}\n"),
+        ("epsilon", model.epsilon, "epsilon = {:.6g}\n"),
+        ("beta", model.beta, "beta    = {:.6g}\n"),
+        ("H_sqrt_m", H, "H       = {:.6g} m^(1/2)\n"),
+        ("m_rate_m_per_yr", physical.m_rate, "m_rate  = {:.6g} m/yr\n"),
+    ]
     if args.format == "json":
-        payload = {
-            "T_star_K": scales.T_star,
-            "L_star_m": scales.L_star,
-            "L_star_km": scales.L_star / M_PER_KM,
-            "t_star_yr": scales.t_star,
-            "mu": scales.mu,
-            "epsilon": model.epsilon,
-            "beta": model.beta,
-            "H_sqrt_m": H,
-            "m_rate_m_per_yr": physical.m_rate,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps({key: value for key, value, _ in quantities}, indent=2) + "\n"
     else:
-        lines = [
-            f"T*      = {scales.T_star:.6g} K",
-            f"L*      = {scales.L_star:.6g} m ({scales.L_star / M_PER_KM:.6g} km)",
-            f"t*      = {scales.t_star:.6g} yr",
-            f"mu      = {scales.mu:.6g}",
-            f"epsilon = {model.epsilon:.6g}",
-            f"beta    = {model.beta:.6g}",
-            f"H       = {H:.6g} m^(1/2)",
-            f"m_rate  = {physical.m_rate:.6g} m/yr",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "".join(line.format(value) for _, value, line in quantities)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    if args.format == "csv":
-        raise ConfigError("analyze emits JSON; csv is not supported here")
-    model, scales = _load(args)
+    model, scales = _dynamics(args)
     mu = _resolve_mu(args, scales)
     points = find_equilibria(model)
     if not points:
         print("warning: no equilibria in the scan range", file=sys.stderr)
     rows = []
     for cp in points:
+        derivatives = asdict(cp)
         row = {
-            "theta_c": cp.theta_c,
-            "lambda_c": cp.lambda_c,
-            "derivatives": {
-                "f1": cp.f1,
-                "f2": cp.f2,
-                "f3": cp.f3,
-                "g1": cp.g1,
-                "g2": cp.g2,
-                "xi_c": cp.xi_c,
-                "xi1": cp.xi1,
-                "xi2": cp.xi2,
-                "xi3": cp.xi3,
-            },
+            "theta_c": derivatives.pop("theta_c"),
+            "lambda_c": derivatives.pop("lambda_c"),
+            "derivatives": derivatives,
             "mu": mu,
             "classification": classify(cp, mu, model.alpha2, model.gamma).value,
         }
         try:
-            th = mu_thresholds(cp, model.alpha2, model.gamma)
-            row["thresholds"] = {
-                "mu1": th.mu1,
-                "mu2": th.mu2,
-                "mu0": th.mu0,
-                "omega0": th.omega0,
-            }
+            row["thresholds"] = asdict(mu_thresholds(cp, model.alpha2, model.gamma))
         except DegenerateSlope:
             row["thresholds"] = None
         try:
-            hopf = hopf_analysis(cp, model.alpha2, model.gamma)
-            row["hopf"] = {
-                "mu0": hopf.mu0,
-                "omega0": hopf.omega0,
-                "l1": hopf.l1,
-                "criticality": hopf.criticality.value,
-                "transversality": hopf.transversality,
-            }
+            hopf = asdict(hopf_analysis(cp, model.alpha2, model.gamma))
+            row["hopf"] = {**hopf, "criticality": hopf["criticality"].value}
         except NotHopfCandidate:
             row["hopf"] = None
         rows.append(row)
@@ -211,11 +191,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, scales = _load(args)
+    model, scales = _dynamics(args)
     mu = _resolve_mu(args, scales)
-    for name in ("theta0", "lam0", "t_end"):
-        if getattr(args, name) is None:
-            raise ConfigError(f"simulate needs --{name.replace('_', '-')}")
     if not (math.isfinite(args.t_end) and args.t_end > 0):
         raise ConfigError(f"--t-end must be finite and positive, got {args.t_end}")
     if args.dimensional and scales is None:
@@ -242,14 +219,12 @@ def cmd_simulate(args) -> int:
         ]
     if traj.regimes is not None:
         columns.append(traj.regimes)
-    _emit(_csv_text(header, list(zip(*columns))), args.out)
+    _write_table(header, zip(*columns), "csv", args.out)
     return 3 if traj.terminated is Termination.LAMBDA_FLOOR else 0
 
 
 def cmd_sweep(args) -> int:
-    model, _ = _load(args)
-    if args.mu_min is None or args.mu_max is None:
-        raise ConfigError("sweep needs --mu-min and --mu-max")
+    model, _ = _dynamics(args)
     if not (0 < args.mu_min < args.mu_max and math.isfinite(args.mu_max)):
         raise ConfigError("need 0 < --mu-min < --mu-max, both finite")
     if args.mu_steps < 1:
@@ -257,60 +232,41 @@ def cmd_sweep(args) -> int:
     step = (args.mu_max - args.mu_min) / max(args.mu_steps - 1, 1)
     grid = [args.mu_min + i * step for i in range(args.mu_steps)]
     diagram = sweep_mu(model, grid, detect_cycles=args.cycles)
-    if args.format == "json":
-        payload = [
-            {
-                "mu": r.mu,
-                "kind": r.kind.value if r.kind is not None else "degenerate",
-                "period": r.period,
-                "amplitude_theta": r.amplitude_theta,
-                "amplitude_lambda": r.amplitude_lambda,
-            }
-            for r in diagram.rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [
-            [
-                r.mu,
-                r.kind.value if r.kind is not None else "degenerate",
-                "" if r.period is None else _fmt(r.period),
-                "" if r.amplitude_theta is None else _fmt(r.amplitude_theta),
-                "" if r.amplitude_lambda is None else _fmt(r.amplitude_lambda),
-            ]
-            for r in diagram.rows
-        ]
-        _emit(
-            _csv_text(
-                ["mu", "kind", "period", "amplitude_theta", "amplitude_lambda"], rows
-            ),
-            args.out,
+    header = ["mu", "kind", "period", "amplitude_theta", "amplitude_lambda"]
+    rows = [
+        (
+            r.mu,
+            r.kind.value if r.kind is not None else "degenerate",
+            r.period,
+            r.amplitude_theta,
+            r.amplitude_lambda,
         )
+        for r in diagram.rows
+    ]
+    _write_table(header, rows, args.format, args.out)
     return 0
 
 
 def cmd_nullclines(args) -> int:
-    model, _ = _load(args)
+    model, _ = _dynamics(args)
     n = args.samples
     lo, hi = args.theta_min, args.theta_max
-    if not (0 < lo < hi and n >= 2):
-        raise ConfigError("need 0 < --theta-min < --theta-max and --samples >= 2")
+    if not (0 < lo < hi and math.isfinite(hi) and n >= 2):
+        raise ConfigError(
+            "need 0 < --theta-min < --theta-max, both finite, and --samples >= 2"
+        )
     rows = []
     for i in range(n):
         th = lo + (hi - lo) * i / (n - 1)
-        rows.append([th, float(nullcline_f(model, th, 0)), float(nullcline_g(model, th, 0))])
-    if args.format == "json":
-        payload = [{"theta": r[0], "f": r[1], "g": r[2]} for r in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv_text(["theta", "f", "g"], rows), args.out)
+        rows.append((th, float(nullcline_f(model, th, 0)), float(nullcline_g(model, th, 0))))
+    _write_table(["theta", "f", "g"], rows, args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    model, scales = _load(args)
+    model, scales = _dynamics(args)
     mu = _resolve_mu(args, scales)
     report = run_verification(model, mu=mu, seed=args.seed)
     lines = []
@@ -332,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, mu=False, fmt=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--params", required=True, help="JSON parameter file")
         p.add_argument(
             "--set",
@@ -342,45 +300,35 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config entry by dotted path (repeatable)",
         )
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mu", type=float, default=None)
+        if mu:
+            p.add_argument("--mu", type=float, default=None)
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("scales", help="derived scales and dimensionless numbers")
-    common(p)
-    p.set_defaults(func=cmd_scales)
+    command("scales", cmd_scales, "derived scales and dimensionless numbers", fmt=True)
+    command("analyze", cmd_analyze, "equilibria, classification, Hopf data (JSON)", mu=True)
 
-    p = sub.add_parser("analyze", help="equilibria, classification, Hopf data")
-    common(p)
-    p.set_defaults(func=cmd_analyze, format="json")
-
-    p = sub.add_parser("simulate", help="integrate a trajectory to CSV")
-    common(p)
-    p.add_argument("--theta0", type=float, default=None)
-    p.add_argument("--lam0", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
+    p = command("simulate", cmd_simulate, "integrate a trajectory to CSV", mu=True)
+    p.add_argument("--theta0", type=float, required=True)
+    p.add_argument("--lam0", type=float, required=True)
+    p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--model", choices=("simplified", "full"), default="simplified")
     p.add_argument("--dimensional", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="classification (and cycles) along a mu grid")
-    common(p)
-    p.add_argument("--mu-min", type=float, default=None, dest="mu_min")
-    p.add_argument("--mu-max", type=float, default=None, dest="mu_max")
+    p = command("sweep", cmd_sweep, "classification (and cycles) along a mu grid", fmt=True)
+    p.add_argument("--mu-min", type=float, required=True, dest="mu_min")
+    p.add_argument("--mu-max", type=float, required=True, dest="mu_max")
     p.add_argument("--mu-steps", type=int, default=21, dest="mu_steps")
     p.add_argument("--cycles", action="store_true", help="attempt cycle detection")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("nullclines", help="sample f and g for plotting")
-    common(p)
+    p = command("nullclines", cmd_nullclines, "sample f and g for plotting", fmt=True)
     p.add_argument("--theta-min", type=float, default=0.5, dest="theta_min")
     p.add_argument("--theta-max", type=float, default=2.5, dest="theta_max")
     p.add_argument("--samples", type=int, default=1001)
-    p.set_defaults(func=cmd_nullclines)
 
-    p = sub.add_parser("verify", help="run the numerical cross-check suite")
-    common(p)
+    p = command("verify", cmd_verify, "run the numerical cross-check suite (text)", mu=True)
     p.add_argument("--seed", type=int, default=0, help="seed of the oracle draws")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

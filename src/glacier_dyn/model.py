@@ -137,13 +137,43 @@ def _require_finite(record, names) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def _check_dict_keys(data: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(data) - allowed
+def _number(value, where: str, key: str) -> float:
+    """A config entry as a float: a JSON number or a numeric string. Anything
+    else (null, a bool, a list or object, other text) names its dotted key."""
+    if type(value) in (float, int, str):  # not bool, a subclass of int
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+
+
+def _from_dict(cls, data, where: str, optional=()):
+    """The record `cls` from a config block at dotted path `where`. Every field
+    is required but `optional`; the albedo and accum entries are response
+    curves, family is a curve family and every other entry is a number."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
+    allowed = {f.name for f in fields(cls)}
+    unknown = data.keys() - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
+    missing = allowed - data.keys() - set(optional)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    kwargs = {}
+    for key, value in data.items():
+        if key in ("albedo", "accum"):
+            kwargs[key] = SigmoidResponse.from_dict(value, f"{where}.{key}")
+        elif key == "family":
+            try:
+                kwargs[key] = SigmoidFamily(str(value).lower())
+            except ValueError:
+                names = [f.value for f in SigmoidFamily]
+                raise ConfigError(f"{where}: family must be one of {names}") from None
+        else:
+            kwargs[key] = _number(value, where, key)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -169,22 +199,7 @@ class SigmoidResponse:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "curve") -> "SigmoidResponse":
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-        keys = {"family", "limit_minus", "limit_plus", "center", "steepness"}
-        _check_dict_keys(data, keys, keys, where)
-        try:
-            family = SigmoidFamily(str(data["family"]).lower())
-        except ValueError:
-            names = [f.value for f in SigmoidFamily]
-            raise ConfigError(f"{where}: family must be one of {names}") from None
-        return cls(
-            limit_minus=float(data["limit_minus"]),
-            limit_plus=float(data["limit_plus"]),
-            center=float(data["center"]),
-            steepness=float(data["steepness"]),
-            family=family,
-        )
+        return _from_dict(cls, data, where)
 
     def to_dict(self) -> dict:
         return {
@@ -262,16 +277,7 @@ class PhysicalParams:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "physical") -> "PhysicalParams":
-        field_names = {f.name for f in fields(cls)}
-        required = field_names - {"grav", "a_rate"}
-        _check_dict_keys(data, field_names, required, where)
-        kwargs = {}
-        for key, value in data.items():
-            if key in ("albedo", "accum"):
-                kwargs[key] = SigmoidResponse.from_dict(value, f"{where}.{key}")
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
+        return _from_dict(cls, data, where, optional=("grav", "a_rate"))
 
 
 @dataclass(frozen=True)
@@ -302,15 +308,7 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "model") -> "ModelParams":
-        field_names = {f.name for f in fields(cls)}
-        _check_dict_keys(data, field_names, field_names, where)
-        kwargs = {}
-        for key, value in data.items():
-            if key in ("albedo", "accum"):
-                kwargs[key] = SigmoidResponse.from_dict(value, f"{where}.{key}")
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
+        return _from_dict(cls, data, where)
 
     def with_overrides(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)

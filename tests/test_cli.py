@@ -1,10 +1,12 @@
 """End-to-end tests for the glacier-dyn command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +22,7 @@ from glacier_dyn import (
     mu_thresholds,
     numeric_l1,
 )
-from glacier_dyn.cli import main
+from glacier_dyn.cli import build_parser, main
 
 from conftest import PARAMS_DIR
 
@@ -130,11 +132,6 @@ class TestAnalyze:
         rows = json.loads(out)
         assert isinstance(rows, list) and rows
 
-    def test_csv_format_rejected(self, capsys):
-        code, _ = run_cli(capsys, "analyze", "--params", HOPF,
-                          "--format", "csv")
-        assert code == 2
-
     def test_fig2_reports_three_rows_outer_stable(self, capsys):
         code, out = run_cli(capsys, "analyze", "--params", FIG2)
         assert code == 0
@@ -186,9 +183,10 @@ class TestAnalyze:
 
 class TestSimulate:
     def test_missing_initial_state_rejected(self, capsys):
-        code, _ = run_cli(capsys, "simulate", "--params", HOPF,
-                          "--theta0", "1.3", "--lam0", "0.05")
-        assert code == 2  # no --t-end
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--params", HOPF, "--theta0", "1.3", "--lam0", "0.05"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --t-end" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_end", ["0", "-1", "inf", "nan"])
     def test_bad_t_end_exits_2(self, capsys, t_end):
@@ -320,8 +318,10 @@ class TestSweep:
         assert th.mu0 <= float(rows[first_unstable][0]) * (1 + 1e-12)
 
     def test_requires_grid_bounds(self, capsys):
-        code, _ = run_cli(capsys, "sweep", "--params", HOPF, "--mu-min", "1.0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--params", HOPF, "--mu-min", "1.0"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --mu-max" in capsys.readouterr().err
         code, _ = run_cli(capsys, "sweep", "--params", HOPF,
                           "--mu-min", "2.0", "--mu-max", "1.0")
         assert code == 2
@@ -380,6 +380,16 @@ class TestNullclines:
                           "--theta-min", "2.0", "--theta-max", "1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("1", "nan"), ("nan", "2"),
+                                        ("-inf", "2")])
+    def test_non_finite_range_exits_2(self, capsys, lo, hi):
+        code = main(["nullclines", "--params", FIG2, f"--theta-min={lo}",
+                     f"--theta-max={hi}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: need 0 < --theta-min < --theta-max, both finite")
+
 
 class TestVerify:
     def test_table1_suite_passes(self, capsys):
@@ -411,14 +421,96 @@ class TestVerify:
         assert "error: --seed must be a non-negative integer, got -1" in captured.err
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
-def test_seed_only_on_verify(capsys, command):
-    # Only verify draws anything at random; elsewhere --seed is an argparse error.
+SIMULATE_STATE = ["--theta0", "1.3", "--lam0", "0.05", "--t-end", "1"]
+SWEEP_GRID = ["--mu-min", "0.5", "--mu-max", "1.0", "--mu-steps", "2"]
+
+
+UNRECOGNIZED = "unrecognized arguments: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--format", "csv"], UNRECOGNIZED + "--format csv"),
+    (["analyze", "--seed", "5"], UNRECOGNIZED + "--seed 5"),
+    (["simulate", *SIMULATE_STATE, "--seed", "5"], UNRECOGNIZED + "--seed 5"),
+    (["simulate", *SIMULATE_STATE, "--format", "json"], UNRECOGNIZED + "--format json"),
+    (["verify", "--format", "json"], UNRECOGNIZED + "--format json"),
+    (["scales", "--mu", "5"], UNRECOGNIZED + "--mu 5"),
+    # argparse reads --mu as an abbreviation of sweep's --mu-* options
+    (["sweep", *SWEEP_GRID, "--mu", "5"], "ambiguous option: --mu could match"),
+    (["nullclines", "--mu", "5"], UNRECOGNIZED + "--mu 5"),
+], ids=["analyze-format", "analyze-seed", "simulate-seed", "simulate-format",
+        "verify-format", "scales-mu", "sweep-mu", "nullclines-mu"])
+def test_option_not_taken_exits_2(capsys, argv, message):
+    # Each command parses only the options it reads: --seed is verify's,
+    # --mu belongs to analyze, simulate and verify, --format to scales, sweep
+    # and nullclines.
     with pytest.raises(SystemExit) as exc:
-        main([command, "--params", HOPF, "--seed", "5"])
+        main([argv[0], "--params", TABLE1, *argv[1:]])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
-    assert main(["verify", "--params", HOPF, "--seed", "0"]) == 0
+    assert message in capsys.readouterr().err
+
+
+class RecordingNamespace(argparse.Namespace):
+    """Records the attributes read once `reads` is set to a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# A valid value for every option of every command.
+EVERY_OPTION = {
+    "scales": ["--params", TABLE1, "--set", "physical.B=1.74", "--format", "json"],
+    "analyze": ["--params", HOPF, "--set", "model.epsilon=0.11", "--mu", "1.0"],
+    "simulate": ["--params", TABLE1, "--set", "physical.B=1.74", "--mu", "1.0",
+                 "--theta0", "1.1", "--lam0", "0.05", "--t-end", "0.5",
+                 "--model", "full", "--dimensional"],
+    "sweep": ["--params", HOPF, "--set", "model.epsilon=0.11", *SWEEP_GRID,
+              "--cycles", "--format", "json"],
+    "nullclines": ["--params", FIG2, "--set", "model.epsilon=0.11",
+                   "--theta-min", "1.0", "--theta-max", "2.0", "--samples", "3",
+                   "--format", "json"],
+    "verify": ["--params", HOPF, "--set", "model.epsilon=0.11", "--mu", "1.0",
+               "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+def test_every_parsed_option_is_read(tmp_path, command):
+    dests = {a.dest for a in _subparsers()[command]._actions if a.dest != "help"}
+    argv = [command, *EVERY_OPTION[command], "--out", str(tmp_path / "out")]
+    given = {a.dest for a in _subparsers()[command]._actions
+             if set(a.option_strings) & set(argv)}
+    assert given == dests  # the table above sets every option
+    args = build_parser().parse_args(argv, namespace=RecordingNamespace())
+    args.reads = set()
+    assert args.func(args) == 0
+    assert dests - args.reads == set()
+
+
+def test_readme_cli_commands_parse():
+    # Every command line in README's CLI section must parse under the
+    # current option surface (parsed only, nothing is run).
+    readme = (PARAMS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("glacier-dyn ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -428,6 +520,35 @@ def test_nan_parameter_exits_2(capsys, command, key):
     code, out = run_cli(capsys, command, "--params", HOPF, "--set", f"{key}=NaN")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("params, key", [("hopf_demo.json", "model.beta"),
+                                         ("hopf_demo.json", "model.accum.steepness"),
+                                         ("table1.json", "physical.gamma")])
+@pytest.mark.parametrize("value", ["null", "true", "[0.3]", "abc"])
+def test_non_number_override_exits_2(capsys, params, key, value):
+    code = main(["analyze", "--params", str(PARAMS_DIR / params),
+                 "--set", f"{key}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be a number, got ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params, override, message", [
+    ("table1.json", "physical=3", "physical: expected an object, got int"),
+    ("hopf_demo.json", "model=[0.3]", "model: expected an object, got list"),
+    ("hopf_demo.json", "model.albedo=3", "model.albedo: expected an object, got int"),
+    ("table1.json", "bogus.x=1", "unknown top-level keys ['bogus']"),
+])
+def test_malformed_block_override_exits_2(capsys, params, override, message):
+    code = main(["analyze", "--params", str(PARAMS_DIR / params), "--set", override])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 class TestOutput:
@@ -451,7 +572,7 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
     # nothing must not pay for it, whatever a later edit imports at top level.
     script = f"""
 import sys
-from glacier_dyn.cli import main
+from glacier_dyn.cli import build_parser, main
 out = {str(tmp_path / "out")!r}
 for params in {[TABLE1, FIG2, HOPF]!r}:
     for argv in (["analyze"], ["verify", "--seed", "0"],

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
+import json
 import math
+import re
 import types
 from dataclasses import FrozenInstanceError
 
@@ -60,6 +63,50 @@ def test_physical_from_dict_strict(table1_physical):
     # grav is optional and defaults to 9.81
     no_grav = {k: v for k, v in data.items() if k != "grav"}
     assert gd.PhysicalParams.from_dict(no_grav).grav == 9.81
+
+
+def _raw_block(name: str, block: str, path=(), value=None) -> dict:
+    """A block of a parameter file, with `value` put at `path` if one is given."""
+    data = json.loads((PARAMS_DIR / name).read_text())[block]
+    if path:
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+    return data
+
+
+# (record, file, block, path within the block) for a physical key, a model
+# key and a curve key.
+_NUMBER_KEYS = [
+    (gd.PhysicalParams, "table1.json", "physical", ("gamma",)),
+    (gd.ModelParams, "hopf_demo.json", "model", ("beta",)),
+    (gd.ModelParams, "hopf_demo.json", "model", ("accum", "steepness")),
+]
+
+
+@pytest.mark.parametrize("value", [None, True, [0.3], "abc"])
+@pytest.mark.parametrize("record, name, block, path", _NUMBER_KEYS)
+def test_from_dict_rejects_non_number(record, name, block, path, value):
+    key = ".".join((block, *path))
+    with pytest.raises(gd.ConfigError, match=f"^{re.escape(key)} must be a number"):
+        record.from_dict(_raw_block(name, block, path, value))
+
+
+@pytest.mark.parametrize("record, name, block, path", _NUMBER_KEYS)
+def test_from_dict_accepts_numeric_string(record, name, block, path):
+    good = record.from_dict(_raw_block(name, block))
+    value = repr(functools.reduce(getattr, path, good))
+    assert record.from_dict(_raw_block(name, block, path, value)) == good
+
+
+@pytest.mark.parametrize("record, block", [(gd.PhysicalParams, "physical"),
+                                           (gd.ModelParams, "model"),
+                                           (gd.SigmoidResponse, "curve")])
+@pytest.mark.parametrize("data", [3, [0.3], None, "abc"])
+def test_from_dict_rejects_non_object_block(record, block, data):
+    with pytest.raises(gd.ConfigError, match=f"^{block}: expected an object"):
+        record.from_dict(data)
 
 
 def test_model_params_validation(hopf_model):
