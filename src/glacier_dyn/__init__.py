@@ -17,7 +17,6 @@ from .equilibria import (
     BranchPair,
     CriticalPoint,
     EquilibriumCount,
-    branch_bounds,
     count_classification,
     critical_point_at,
     find_equilibria,
@@ -37,7 +36,6 @@ from .errors import (
     NotHopfCandidate,
     NotTangent,
     OracleMismatch,
-    OutOfProfile,
     ScaleError,
     StiffnessError,
     TangencyWarning,
@@ -50,8 +48,6 @@ from .model import (
     SigmoidFamily,
     SigmoidResponse,
     State,
-    continental_albedo,
-    ice_profile_height,
     lambda0,
     make_jacobian,
     make_rhs,
@@ -63,7 +59,6 @@ from .model import (
     sheet_height_scale,
     sigmoid_eval,
     vector_field,
-    vector_field_full,
 )
 from .oracle import (
     FdConfig,
@@ -76,7 +71,6 @@ from .oracle import (
 )
 from .simulator import (
     BifRow,
-    BifurcationDiagram,
     LimitCycle,
     ModelKind,
     SolverStats,
@@ -105,25 +99,24 @@ from .stability import (
 
 __all__ = [
     # equilibria
-    "BranchPair", "CriticalPoint", "EquilibriumCount", "branch_bounds",
-    "count_classification", "critical_point_at", "find_equilibria", "lambda0_max",
-    "lambda_branches", "theta_extrema",
+    "BranchPair", "CriticalPoint", "EquilibriumCount", "count_classification",
+    "critical_point_at", "find_equilibria", "lambda0_max", "lambda_branches",
+    "theta_extrema",
     # errors
     "ComplexSnowline", "ConditioningError", "ConfigError", "DegenerateSlope",
     "DomainError", "GlacierDynError", "NoBranches", "NonDifferentiablePoint",
-    "NotHopfCandidate", "NotTangent", "OracleMismatch", "OutOfProfile", "ScaleError",
-    "StiffnessError", "TangencyWarning",
+    "NotHopfCandidate", "NotTangent", "OracleMismatch", "ScaleError", "StiffnessError",
+    "TangencyWarning",
     # model
     "ModelParams", "PhysicalParams", "Regime", "Scales", "SigmoidFamily",
-    "SigmoidResponse", "State", "continental_albedo", "ice_profile_height", "lambda0",
-    "make_jacobian", "make_rhs", "nondimensionalize", "nullcline_f", "nullcline_g",
-    "regime_of", "response_eval", "sheet_height_scale", "sigmoid_eval", "vector_field",
-    "vector_field_full",
+    "SigmoidResponse", "State", "lambda0", "make_jacobian", "make_rhs",
+    "nondimensionalize", "nullcline_f", "nullcline_g", "regime_of", "response_eval",
+    "sheet_height_scale", "sigmoid_eval", "vector_field",
     # oracle
     "FdConfig", "VerificationReport", "bisect_lambda_branches", "fd_jacobian",
     "grid_max_lambda0", "numeric_l1", "run_verification",
     # simulator
-    "BifRow", "BifurcationDiagram", "LimitCycle", "ModelKind", "SolverStats",
+    "BifRow", "LimitCycle", "ModelKind", "SolverStats",
     "Termination", "Trajectory", "integrate", "poincare_cycle", "sweep_mu",
     # stability
     "CenterManifoldVerdict", "Classification", "Criticality", "HopfData", "Jacobian2",

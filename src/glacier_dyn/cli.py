@@ -231,7 +231,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--mu-steps must be at least 1, got {args.mu_steps}")
     step = (args.mu_max - args.mu_min) / max(args.mu_steps - 1, 1)
     grid = [args.mu_min + i * step for i in range(args.mu_steps)]
-    diagram = sweep_mu(model, grid, detect_cycles=args.cycles)
     header = ["mu", "kind", "period", "amplitude_theta", "amplitude_lambda"]
     rows = [
         (
@@ -241,7 +240,7 @@ def cmd_sweep(args) -> int:
             r.amplitude_theta,
             r.amplitude_lambda,
         )
-        for r in diagram.rows
+        for r in sweep_mu(model, grid, detect_cycles=args.cycles)
     ]
     _write_table(header, rows, args.format, args.out)
     return 0

@@ -233,28 +233,9 @@ def _check_branch_hypothesis(xi: float, epsilon: float) -> None:
             )
 
 
-def branch_bounds(
-    xi: float, epsilon: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Guaranteed enclosing intervals for the two lambda branches."""
-    _check_branch_hypothesis(xi, epsilon)
-    cap = xi * (1.0 + xi) / (2.0 + xi) ** 2
-    r1 = 1.0 + 1.0 / xi
-    r2 = 1.0 - 1.0 / (2.0 + xi)
-    if epsilon > 0:
-        b1 = (r1 * epsilon**2, 4.0 * r1 * epsilon**2)
-        b2 = (cap - 3.0 * r2 * epsilon, cap - 2.0 * r2 * epsilon)
-    else:
-        b1 = (
-            r1 * epsilon**2 + 2.0 * r1 * (1.0 + 2.0 / xi) * epsilon**3,
-            r1 * epsilon**2,
-        )
-        b2 = (cap - r2 * epsilon, cap - 2.0 * r2 * epsilon)
-    return b1, b2
-
-
 def lambda_branches(xi: float, epsilon: float) -> BranchPair:
-    """Fixed points of the lambda equation at accumulation ratio xi.
+    """Fixed points of the lambda equation at accumulation ratio xi, with
+    guaranteed enclosing intervals for each.
 
     These are the two roots of lambda0(lambda) = zeta with zeta = 1/(1+xi):
     a small sheet near the nucleation scale and a large one near the cap
@@ -268,7 +249,18 @@ def lambda_branches(xi: float, epsilon: float) -> BranchPair:
     disc = 1.0 - 4.0 * epsilon * ratio
     lam1 = pref * (1.0 - 2.0 * epsilon * ratio - math.sqrt(disc))
     lam2 = pref * (1.0 - 2.0 * epsilon * ratio + math.sqrt(disc))
-    b1, b2 = branch_bounds(xi, epsilon)
+    cap = xi * (1.0 + xi) / (2.0 + xi) ** 2
+    r1 = 1.0 + 1.0 / xi
+    r2 = 1.0 - 1.0 / (2.0 + xi)
+    if epsilon > 0:
+        b1 = (r1 * epsilon**2, 4.0 * r1 * epsilon**2)
+        b2 = (cap - 3.0 * r2 * epsilon, cap - 2.0 * r2 * epsilon)
+    else:
+        b1 = (
+            r1 * epsilon**2 + 2.0 * r1 * (1.0 + 2.0 / xi) * epsilon**3,
+            r1 * epsilon**2,
+        )
+        b2 = (cap - r2 * epsilon, cap - 2.0 * r2 * epsilon)
     return BranchPair(lambda1=lam1, lambda2=lam2, zeta=zeta, bounds1=b1, bounds2=b2)
 
 

@@ -17,19 +17,6 @@ class ComplexSnowline(GlacierDynError):
     """Snow-line radicand eps + 2*lambda + 1/4 is negative."""
 
 
-class ScaleError(GlacierDynError):
-    """A derived scale came out nonpositive; carries the offending symbol."""
-
-    def __init__(self, symbol: str, value: float):
-        super().__init__(f"scale {symbol} = {value!r} must be strictly positive")
-        self.symbol = symbol
-        self.value = value
-
-
-class OutOfProfile(GlacierDynError):
-    """Evaluation point outside the ice-sheet footprint |x| <= l."""
-
-
 class NoBranches(GlacierDynError):
     """Branch hypothesis violated; carries the critical eps threshold."""
 
@@ -69,6 +56,16 @@ class OracleMismatch(GlacierDynError):
 
 class ConfigError(GlacierDynError):
     """Malformed parameter file or command-line configuration."""
+
+
+class ScaleError(ConfigError):
+    """A derived scale came out non-finite or nonpositive; carries the
+    offending symbol."""
+
+    def __init__(self, symbol: str, value: float):
+        super().__init__(f"scale {symbol} = {value!r} must be finite and positive")
+        self.symbol = symbol
+        self.value = value
 
 
 class TangencyWarning(UserWarning):

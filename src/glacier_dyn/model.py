@@ -19,18 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ComplexSnowline,
-    ConfigError,
-    DomainError,
-    NonDifferentiablePoint,
-    OutOfProfile,
-    ScaleError,
-)
+from .errors import ComplexSnowline, ConfigError, DomainError, NonDifferentiablePoint, ScaleError
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 # Least lambda the full ice equation and the Jacobian evaluate at; the
@@ -201,15 +194,6 @@ class SigmoidResponse:
     def from_dict(cls, data: dict, where: str = "curve") -> "SigmoidResponse":
         return _from_dict(cls, data, where)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "limit_minus": self.limit_minus,
-            "limit_plus": self.limit_plus,
-            "center": self.center,
-            "steepness": self.steepness,
-        }
-
 
 def response_eval(curve: SigmoidResponse, theta, order: int = 0):
     """Evaluate the response or its order-1..3 theta-derivative."""
@@ -238,8 +222,6 @@ class PhysicalParams:
     h0 : m, isotherm height over the Arctic Ocean (may be negative)
     c : J m^-2 K^-1, column heat capacity
     m_rate : m yr^-1, ablation rate
-    a_rate : m yr^-1, accumulation rate (informational; the model uses the
-        accum response curve for the a/m ratio)
     alpha1, alpha2 : continental albedo alpha1 + alpha2*lambda
     albedo, accum : response curves in dimensionless theta units
     """
@@ -259,7 +241,6 @@ class PhysicalParams:
     albedo: SigmoidResponse
     accum: SigmoidResponse
     grav: float = 9.81
-    a_rate: float | None = None
 
     def __post_init__(self):
         _require_finite(self, [f.name for f in fields(self) if f.name not in ("albedo", "accum")])
@@ -277,7 +258,7 @@ class PhysicalParams:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "physical") -> "PhysicalParams":
-        return _from_dict(cls, data, where, optional=("grav", "a_rate"))
+        return _from_dict(cls, data, where, optional=("grav",))
 
 
 @dataclass(frozen=True)
@@ -310,15 +291,13 @@ class ModelParams:
     def from_dict(cls, data: dict, where: str = "model") -> "ModelParams":
         return _from_dict(cls, data, where)
 
-    def with_overrides(self, **kwargs) -> "ModelParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class Scales:
     """Conversion scales between dimensionless and dimensional quantities.
 
-    T_star is in K, L_star in m and t_star in years.
+    T_star is in K, L_star in m and t_star in years; each scale must be
+    finite and positive.
     """
 
     T_star: float
@@ -329,7 +308,7 @@ class Scales:
     def __post_init__(self):
         for name in ("T_star", "L_star", "t_star", "mu"):
             value = getattr(self, name)
-            if not value > 0:
+            if not (math.isfinite(value) and value > 0):
                 raise ScaleError(name, value)
 
 
@@ -356,25 +335,9 @@ class Regime(enum.Enum):
     NUCLEATION = "nucleation"
 
 
-def continental_albedo(params: ModelParams, lam: float) -> float:
-    """Linear continental albedo alpha1 + alpha2*lambda (lambda >= 0)."""
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
-    return params.alpha1 + params.alpha2 * lam
-
-
 def sheet_height_scale(tau0: float, rho_i: float, grav: float) -> float:
     """Ice-sheet height scale H = sqrt(4*tau0/(3*rho_i*grav)), units m^(1/2)."""
     return math.sqrt(4.0 * tau0 / (3.0 * rho_i * grav))
-
-
-def ice_profile_height(x: float, l: float, H: float) -> float:
-    """Parabolic sheet profile h(x) = H*sqrt(l)*sqrt(1 - |x|/l), 0 at the rim."""
-    if not l > 0:
-        raise DomainError(f"sheet extent l must be positive, got {l}")
-    if abs(x) > l:
-        raise OutOfProfile(f"|x| = {abs(x)} exceeds the sheet extent l = {l}")
-    return H * math.sqrt(l) * math.sqrt(1.0 - abs(x) / l)
 
 
 def _snow_line(lam, epsilon):
@@ -435,9 +398,13 @@ def nondimensionalize(p: PhysicalParams) -> tuple[ModelParams, Scales]:
     beta = -4A/Q
 
     The response-curve centers and steepnesses are already in dimensionless
-    theta units and pass through unchanged.
+    theta units and pass through unchanged. Inputs whose H^2 or s^2
+    underflows to 0, or whose scales overflow, raise ScaleError.
     """
     H = sheet_height_scale(p.tau0, p.rho_i, p.grav)
+    for symbol, square in (("H^2", H * H), ("s^2", p.s * p.s)):
+        if square == 0.0:
+            raise ScaleError(symbol, square)
     T_star = p.Q / (4.0 * p.B)
     L_star = H * H / (p.s * p.s)
     eps = p.s * p.h0 / (H * H)
@@ -556,21 +523,10 @@ def vector_field(params: ModelParams, mu: float, s: State) -> tuple[float, float
     return _rates(params, mu, s.theta, s.lam, None)
 
 
-def vector_field_full(
-    params: ModelParams, mu: float, s: State
-) -> tuple[float, float, Regime]:
-    """Right-hand side of the full mass-balance system with its regime label.
-
-    The temperature equation is identical to the simplified one. The ice
-    equation switches between the three regimes of regime_of.
-    """
-    regime = regime_of(params, s.lam)
-    return (*_rates(params, mu, s.theta, s.lam, regime), regime)
-
-
 def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
     """rhs(t, y) for scipy's solvers: the simplified field for regime None,
-    the full field held in one regime otherwise, clamped as in _rates."""
+    the full field held in one regime otherwise (regime_of gives the regime
+    at a state), clamped as in _rates."""
 
     def rhs(t, y):
         # Plain floats: numpy scalar arithmetic costs several times more.

@@ -37,7 +37,6 @@ from .stability import (
     eigenvalues,
     hopf_analysis,
     jacobian,
-    lyapunov_l1,
     mu_thresholds,
 )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
@@ -47,7 +47,7 @@ from .model import (
     nullcline_g,
     regime_of,
 )
-from .stability import Classification, classify, hopf_analysis, jacobian
+from .stability import Classification, Criticality, classify, hopf_analysis, jacobian
 
 # Above this mu the temperature equation makes the system stiff enough that
 # Radau beats DOP853. On hopf_demo from (1.40, 0.05) the cost crossover lies
@@ -82,7 +82,6 @@ class ModelKind(enum.Enum):
 class Termination(enum.Enum):
     TIME_LIMIT = "time_limit"
     LAMBDA_FLOOR = "lambda_floor"
-    COMPLEX_SNOWLINE = "complex_snowline"
 
 
 @dataclass
@@ -111,10 +110,6 @@ class Trajectory:
     stats: SolverStats | None = None
 
     @property
-    def states(self) -> list[State]:
-        return [State(theta=t, lam=l) for t, l in zip(self.thetas, self.lams)]
-
-    @property
     def final_state(self) -> State:
         return State(theta=float(self.thetas[-1]), lam=float(self.lams[-1]))
 
@@ -130,7 +125,6 @@ class LimitCycle:
     amplitude_theta: float
     amplitude_lambda: float
     section_points: list[State]
-    converged: bool
     multiplier: float
     laps: int
 
@@ -142,11 +136,6 @@ class BifRow:
     period: float | None = None
     amplitude_theta: float | None = None
     amplitude_lambda: float | None = None
-
-
-@dataclass
-class BifurcationDiagram:
-    rows: list[BifRow] = field(default_factory=list)
 
 
 def _floor_event(t, y):
@@ -414,9 +403,9 @@ def integrate(
 
 
 def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, budget: float):
-    """lap(lam): one lap of the return map of {theta = theta_c, rising} as an
-    unconverged LimitCycle, or None when the orbit escapes: when the lap
-    outlasts cap, reaches the lambda floor, or the hunt has spent budget.
+    """lap(lam): one lap of the return map of {theta = theta_c, rising} as a
+    LimitCycle that need not close, or None when the orbit escapes: when the
+    lap outlasts cap, reaches the lambda floor, or the hunt has spent budget.
 
     The flow runs with its variational equation for d/dlam to the falling,
     then the rising crossing. dP/dlam is the variation's lambda-row less the
@@ -466,7 +455,6 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
             amplitude_theta=0.5 * float(max(thetas) - min(thetas)),
             amplitude_lambda=0.5 * float(max(lams) - min(lams)),
             section_points=[State(cp.theta_c, lam), State(cp.theta_c, float(y[1]))],
-            converged=False,
             multiplier=float(y[3] - dlam / dtheta * y[2]),
             laps=spent[1],
         )
@@ -530,7 +518,6 @@ def poincare_cycle(
             disp = cycle.section_points[1].lam - lam
             step = -disp / (cycle.multiplier - 1.0)
             if abs(step) <= _SHOOT_XTOL * lam_c:
-                cycle.converged = True
                 return cycle
             if bracket:
                 bracket = [b for b in bracket if (b[1] > 0) != (disp > 0)] + [(lam, disp)]
@@ -556,13 +543,17 @@ def sweep_mu(
     mu_grid: list[float],
     cp: CriticalPoint | None = None,
     detect_cycles: bool = False,
-) -> BifurcationDiagram:
-    """Classification (and optional cycle data) along a mu grid.
+) -> list[BifRow]:
+    """Classification (and optional cycle data) along a mu grid, one row per
+    mu in ascending order.
 
     The tracked equilibrium does not move with mu (the nullclines do not
     involve mu), so continuation is exact. Its residual is checked once;
     every row is marked degenerate (kind None) when it fails or when there
-    is no equilibrium.
+    is no equilibrium. With detect_cycles, cycles are hunted on unstable-focus
+    and Hopf-center rows, and also on stable-focus rows when the onset is
+    subcritical: there the repelling cycle surrounds the stable focus below
+    mu0.
     """
     grid = sorted(float(m) for m in mu_grid)
     if not grid or grid[0] <= 0:
@@ -574,16 +565,18 @@ def sweep_mu(
     if cp is None or abs(
         nullcline_f(params, cp.theta_c, 0) - nullcline_g(params, cp.theta_c, 0)
     ) > 1e-9:
-        return BifurcationDiagram(rows=[BifRow(mu=m, kind=None) for m in grid])
+        return [BifRow(mu=m, kind=None) for m in grid]
 
+    hunt = {Classification.UNSTABLE_FOCUS, Classification.HOPF_CENTER}
+    if detect_cycles and cp.g1 > cp.f1 > 0 and (
+        hopf_analysis(cp, params.alpha2, params.gamma).criticality is Criticality.SUBCRITICAL
+    ):
+        hunt.add(Classification.STABLE_FOCUS)
     rows = []
     for mu in grid:
         kind = classify(cp, mu, params.alpha2, params.gamma)
         period = amp_t = amp_l = None
-        if detect_cycles and kind in (
-            Classification.UNSTABLE_FOCUS,
-            Classification.HOPF_CENTER,
-        ):
+        if detect_cycles and kind in hunt:
             cycle = poincare_cycle(params, mu, cp)
             if cycle is not None:
                 period = cycle.period
@@ -598,4 +591,4 @@ def sweep_mu(
                 amplitude_lambda=amp_l,
             )
         )
-    return BifurcationDiagram(rows=rows)
+    return rows

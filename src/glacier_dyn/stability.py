@@ -17,6 +17,9 @@ from .errors import DegenerateSlope, DomainError, NotHopfCandidate, NotTangent
 from .equilibria import CriticalPoint
 
 TANGENCY_REL_TOL = 1e-9
+# |f'' - g''| at or below this, relative to max(1, |f''|, |g''|), leaves the
+# center-manifold reduction below mu0 inconclusive.
+QUAD_REL_TOL = 1e-10
 HOPF_CENTER_REL_TOL = 1e-12
 
 
@@ -170,18 +173,17 @@ def classify(
     return Classification.UNSTABLE_NODE
 
 
-def lyapunov_l1(cp: CriticalPoint, alpha2: float, gamma: float) -> float:
+def lyapunov_l1(cp: CriticalPoint) -> float:
     """First Lyapunov coefficient l1 at mu = mu0, evaluated from the closed
     form in the cached derivatives.
 
     The third accumulation derivative cancels identically from the sum, so
     only f', f'', f''', g', xi, xi', xi'' at the critical point enter. The
-    sign decides sub- vs supercritical onset; alpha2 and gamma themselves drop
-    out of l1 entirely.
+    sign decides sub- vs supercritical onset; alpha2 and gamma drop out of
+    l1 entirely.
     """
     lam, f1, f2, f3, g1 = cp.lambda_c, cp.f1, cp.f2, cp.f3, cp.g1
     xi, x1, x2 = cp.xi_c, cp.xi1, cp.xi2
-    del alpha2, gamma  # accepted for signature symmetry; l1 is independent of them
     D = math.sqrt(g1 / f1 - 1.0)
     lam2 = lam * lam
     xi2sq = xi * xi
@@ -226,7 +228,7 @@ def hopf_analysis(
             f"need g' > f' > 0 at the critical point, got f' = {cp.f1}, g' = {cp.g1}"
         )
     th = mu_thresholds(cp, alpha2, gamma)
-    l1 = lyapunov_l1(cp, alpha2, gamma)
+    l1 = lyapunov_l1(cp)
     tol = degeneracy_tol * (1.0 + abs(l1))
     if abs(l1) <= tol:
         crit = Criticality.DEGENERATE
@@ -264,7 +266,6 @@ def center_manifold(
     alpha1: float,
     alpha2: float,
     gamma: float,
-    quad_tol: float = 1e-10,
 ) -> tuple[float, float, CenterManifoldVerdict]:
     """Quadratic center-manifold reduction at an f' = g' > 0 tangency.
 
@@ -308,7 +309,7 @@ def center_manifold(
 
     if mu > mu0:
         verdict = CenterManifoldVerdict.UNSTABLE
-    elif abs(cp.f2 - cp.g2) <= quad_tol * max(1.0, abs(cp.f2), abs(cp.g2)):
+    elif abs(cp.f2 - cp.g2) <= QUAD_REL_TOL * max(1.0, abs(cp.f2), abs(cp.g2)):
         verdict = CenterManifoldVerdict.INCONCLUSIVE
     else:
         verdict = CenterManifoldVerdict.UNSTABLE

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,7 +90,8 @@ def make_tangency(
     independent of the accumulation curve, so both corrections are exact."""
 
     def with_center(c: float) -> gd.ModelParams:
-        return base.with_overrides(
+        return replace(
+            base,
             accum=gd.SigmoidResponse(
                 limit_minus=limit_minus,
                 limit_plus=limit_plus,
@@ -108,7 +110,7 @@ def make_tangency(
     )
     tuned = with_center(c_star)
     gap = nullcline_g(tuned, theta_t, 0) - nullcline_f(tuned, theta_t, 0)
-    return tuned.with_overrides(beta=base.beta + base.gamma * base.alpha2 * gap)
+    return replace(tuned, beta=base.beta + base.gamma * base.alpha2 * gap)
 
 
 @pytest.fixture(scope="session")

@@ -144,7 +144,7 @@ def test_c05_lyapunov_cross_validation(hopf_draws):
     t0 = time.perf_counter()
     worst = 0.0
     for params, cp in hopf_draws:
-        closed = lyapunov_l1(cp, params.alpha2, params.gamma)
+        closed = lyapunov_l1(cp)
         numeric = numeric_l1(params, cp)
         worst = max(worst, abs(numeric / closed - 1.0))
     elapsed = time.perf_counter() - t0
@@ -160,7 +160,7 @@ def test_c06_fig3_thresholds_with_family_caveat(table1_model, hopf_model,
     in_tolerance = (th.mu0 is not None
                     and abs(th.mu0 / 1.915 - 1.0) <= 0.10)
     if in_tolerance:
-        l1 = lyapunov_l1(interior, table1_model.alpha2, table1_model.gamma)
+        l1 = lyapunov_l1(interior)
         in_tolerance = l1 < 0 and abs(l1 / -162.3 - 1.0) <= 0.25
         detail = f"mu0={th.mu0:.4f}, l1={l1:.2f} (within printed tolerances)"
         consistency_ok = True
@@ -169,7 +169,7 @@ def test_c06_fig3_thresholds_with_family_caveat(table1_model, hopf_model,
         # saddle (g' ~ 0 < f'), so the printed thresholds do not exist. The
         # closed-vs-numeric l1 agreement must still hold; exercised on the
         # oscillation-capable configuration.
-        closed = lyapunov_l1(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        closed = lyapunov_l1(hopf_cp)
         numeric = numeric_l1(hopf_model, hopf_cp)
         gap = abs(numeric / closed - 1.0)
         consistency_ok = gap <= 1e-4
@@ -210,7 +210,7 @@ def test_c07_limit_cycle_dimensional_period(table1_model, table1_scales):
 
 def test_c08_normal_form_amplitude_scaling(hopf_model, hopf_cp):
     th = gd.mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
-    assert lyapunov_l1(hopf_cp, hopf_model.alpha2, hopf_model.gamma) < 0
+    assert lyapunov_l1(hopf_cp) < 0
     hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
     delta = 1e-3
     t0 = time.perf_counter()

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -76,6 +77,25 @@ class TestScales:
         empty.write_text("{}")
         code, _ = run_cli(capsys, "scales", "--params", str(empty))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["scales", "analyze", "simulate"])
+    @pytest.mark.parametrize("overrides", [
+        ("physical.tau0=1e-320",),  # H^2 underflows to 0
+        ("physical.s=1e-200",),  # s^2 underflows to 0
+        ("physical.c=1e308", "physical.m_rate=1e300"),  # mu underflows to 0
+        ("physical.tau0=1e300", "physical.rho_i=1e-300"),  # L*, t*, mu overflow
+    ], ids=["tiny-tau0", "tiny-s", "zero-mu", "infinite-scales"])
+    def test_bad_derived_scales_exit_2(self, capsys, command, overrides):
+        argv = [command, "--params", TABLE1]
+        if command == "simulate":
+            argv += ["--theta0", "1.3", "--lam0", "0.05", "--t-end", "1"]
+        for item in overrides:
+            argv += ["--set", item]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.fullmatch(r"error: scale \S+ = \S+ must be finite and positive\n", captured.err)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +188,8 @@ class TestAnalyze:
                             "--set", "model.accum.family=piecewise_linear")
         assert code == 0
         row = json.loads(out)[-1]
-        params = hopf_model.with_overrides(
+        params = replace(
+            hopf_model,
             accum=replace(hopf_model.accum, family=SigmoidFamily.PIECEWISE_LINEAR))
         cp = critical_point_at(params, row["theta_c"])
         assert row["hopf"]["criticality"] == "subcritical"

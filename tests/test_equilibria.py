@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def test_theta_extrema_table1(table1_model):
 
 
 def test_theta_extrema_none_for_shallow_albedo(table1_model):
-    shallow = table1_model.with_overrides(
+    shallow = replace(
+        table1_model,
         albedo=gd.SigmoidResponse(
             limit_minus=0.85, limit_plus=0.25, center=1.4, steepness=10.0
         )
@@ -77,7 +79,8 @@ def test_find_equilibria_grid_refinement_stable(hopf_model):
 def test_find_equilibria_single_crossing(hopf_model):
     # accumulation saturating near its cap lifts g above f's interior
     # maximum, leaving only the cold descending-branch crossing
-    lifted = hopf_model.with_overrides(
+    lifted = replace(
+        hopf_model,
         accum=gd.SigmoidResponse(
             limit_minus=0.9, limit_plus=1.0, center=1.43, steepness=0.0027
         )
@@ -164,7 +167,8 @@ def test_count_fig2_at_least_three(fig2_model):
 
 
 def test_count_degenerate_when_no_extrema(table1_model):
-    shallow = table1_model.with_overrides(
+    shallow = replace(
+        table1_model,
         albedo=gd.SigmoidResponse(
             limit_minus=0.85, limit_plus=0.25, center=1.4, steepness=10.0
         )
@@ -177,7 +181,8 @@ def test_count_degenerate_when_no_extrema(table1_model):
 def test_count_five_construction(hopf_model):
     # steep accumulation jump placed inside the albedo transition, with beta
     # tuned so f dips under g's lower saturation and back over the upper one
-    five = hopf_model.with_overrides(
+    five = replace(
+        hopf_model,
         accum=gd.SigmoidResponse(
             limit_minus=0.05, limit_plus=0.7, center=1.385, steepness=0.003
         ),

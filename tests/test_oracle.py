@@ -88,7 +88,7 @@ def test_fd_second_order_convergence(hopf_model):
 
 
 def test_numeric_l1_agrees_with_closed_form(hopf_model, hopf_cp):
-    closed = gd.lyapunov_l1(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+    closed = gd.lyapunov_l1(hopf_cp)
     numeric = numeric_l1(hopf_model, hopf_cp)
     assert numeric == pytest.approx(closed, rel=1e-4)
 
@@ -104,7 +104,7 @@ def test_numeric_l1_sign_agreement_on_steep_draws():
     agreed = 0
     for _ in range(5):
         params, cp = draw_hopf_point(rng)
-        closed = gd.lyapunov_l1(cp, params.alpha2, params.gamma)
+        closed = gd.lyapunov_l1(cp)
         numeric = numeric_l1(params, cp)
         assert math.copysign(1.0, closed) == math.copysign(1.0, numeric)
         agreed += 1

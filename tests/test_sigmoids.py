@@ -150,7 +150,9 @@ def test_response_from_dict_round_trip():
         steepness=0.0027,
         family=gd.SigmoidFamily.ERF,
     )
-    assert gd.SigmoidResponse.from_dict(curve.to_dict()) == curve
+    data = {"family": "erf", "limit_minus": 0.1, "limit_plus": 0.5, "center": 1.43,
+            "steepness": 0.0027}
+    assert gd.SigmoidResponse.from_dict(data) == curve
 
 
 def test_response_from_dict_rejects_bad_input():

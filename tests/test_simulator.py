@@ -72,9 +72,7 @@ class TestIntegrateValidation:
 
     def test_states_and_final_state_views(self, hopf_model):
         traj = integrate(hopf_model, 1.0, State(1.35, 0.06), 5.0)
-        states = traj.states
-        assert len(states) == len(traj.times)
-        assert states[-1] == traj.final_state
+        assert traj.final_state == State(float(traj.thetas[-1]), float(traj.lams[-1]))
         assert traj.final_state.theta == traj.thetas[-1]
 
 
@@ -154,7 +152,7 @@ class TestFullModel:
         assert traj.lams[-1] <= 1e-10
 
     def test_nucleation_switches_to_accumulating(self, hopf_model):
-        params = hopf_model.with_overrides(epsilon=-0.04)
+        params = replace(hopf_model, epsilon=-0.04)
         traj = integrate(params, 1.0, State(1.0, 0.005), 10.0,
                          model=ModelKind.FULL)
         assert traj.regimes[0] == "nucleation"
@@ -173,7 +171,7 @@ class TestFullModel:
         # O(lambda^{5/2}) remainder even at epsilon -> 0. Over this window
         # that remainder accumulates to a few-times-1e-3 offset; the bound
         # below is the measured envelope with ~2x headroom.
-        params = hopf_model.with_overrides(epsilon=1e-8)
+        params = replace(hopf_model, epsilon=1e-8)
         start = State(1.3, 0.01)
         simp = integrate(hopf_model, 1.0, start, 50.0,
                          rel_tol=1e-10, abs_tol=1e-12)
@@ -192,7 +190,7 @@ class TestFullModel:
     @settings(max_examples=60, deadline=None)
     def test_row_regimes_match_regime_of(self, hopf_model, eps, mu, theta0,
                                          log_lam0):
-        params = hopf_model.with_overrides(epsilon=eps)
+        params = replace(hopf_model, epsilon=eps)
         traj = integrate(params, mu, State(theta0, 10.0**log_lam0), 30.0,
                          model=ModelKind.FULL)
         for lam, label in zip(traj.lams.tolist(), traj.regimes):
@@ -258,7 +256,7 @@ class TestExplicitKernel:
                                                    (None, (1.6, 0.2), 50.0)])
     def test_full_model_switches_match_solve_ivp(self, hopf_model, monkeypatch,
                                                  eps, start, t_end):
-        params = hopf_model if eps is None else hopf_model.with_overrides(epsilon=eps)
+        params = hopf_model if eps is None else replace(hopf_model, epsilon=eps)
         ours, theirs = _both_routes(monkeypatch, params, start, t_end,
                                     model=ModelKind.FULL)
         got, want = _switches(ours), _switches(theirs)
@@ -333,8 +331,7 @@ class TestStiffPath:
     ])
     def test_radau_matches_tight_rk45(self, hopf_model, monkeypatch,
                                       kind, eps, start, t_end):
-        params = hopf_model if eps is None else hopf_model.with_overrides(
-            epsilon=eps)
+        params = hopf_model if eps is None else replace(hopf_model, epsilon=eps)
         mu = 300.0
         assert mu > simulator.STIFF_MU
         stiff = integrate(params, mu, State(*start), t_end, model=kind)
@@ -380,7 +377,7 @@ class TestPoincareCycle:
                                                         hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
         cycle = poincare_cycle(hopf_model, (1 + 1e-3) * th.mu0, hopf_cp)
-        assert cycle is not None and cycle.converged
+        assert cycle is not None
         linear_period = 2.0 * math.pi / th.omega0
         assert cycle.period == pytest.approx(linear_period, rel=0.02)
         assert cycle.amplitude_theta > 0
@@ -440,7 +437,8 @@ class TestPoincareCycle:
     def test_subcritical_cycle_repels(self, hopf_model):
         # A softer albedo curve makes l1 positive: the cycle is born below
         # mu0, around a stable focus, and it is unstable.
-        params = hopf_model.with_overrides(
+        params = replace(
+            hopf_model,
             albedo=replace(hopf_model.albedo, steepness=0.03))
         cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
         hopf = hopf_analysis(cp, params.alpha2, params.gamma)
@@ -523,25 +521,25 @@ class TestSweepMu:
     def test_classification_flips_across_thresholds(self, hopf_model, hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
         grid = [0.5 * th.mu1, 2.0 * th.mu1, 0.95 * th.mu0, 1.05 * th.mu0]
-        diag = sweep_mu(hopf_model, grid, cp=hopf_cp)
-        kinds = [row.kind for row in diag.rows]
+        rows = sweep_mu(hopf_model, grid, cp=hopf_cp)
+        kinds = [row.kind for row in rows]
         assert kinds == [
             Classification.STABLE_NODE,
             Classification.STABLE_FOCUS,
             Classification.STABLE_FOCUS,
             Classification.UNSTABLE_FOCUS,
         ]
-        assert [row.mu for row in diag.rows] == sorted(grid)
+        assert [row.mu for row in rows] == sorted(grid)
 
     def test_rows_sorted_even_for_unsorted_input(self, hopf_model, hopf_cp):
-        diag = sweep_mu(hopf_model, [3.0, 1.0, 2.0], cp=hopf_cp)
-        assert [row.mu for row in diag.rows] == [1.0, 2.0, 3.0]
+        rows = sweep_mu(hopf_model, [3.0, 1.0, 2.0], cp=hopf_cp)
+        assert [row.mu for row in rows] == [1.0, 2.0, 3.0]
 
     def test_detect_cycles_fills_cycle_columns(self, hopf_model, hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
-        diag = sweep_mu(hopf_model, [1.002 * th.mu0], cp=hopf_cp,
+        rows = sweep_mu(hopf_model, [1.002 * th.mu0], cp=hopf_cp,
                         detect_cycles=True)
-        row = diag.rows[0]
+        row = rows[0]
         assert row.kind is Classification.UNSTABLE_FOCUS
         assert row.period == pytest.approx(2.0 * math.pi / th.omega0, rel=0.02)
         assert row.amplitude_theta > 0
@@ -549,11 +547,30 @@ class TestSweepMu:
 
     def test_off_equilibrium_point_marks_rows_degenerate(self, hopf_model):
         fake = critical_point_at(hopf_model, 1.2)  # not a nullcline crossing
-        diag = sweep_mu(hopf_model, [0.5, 1.5], cp=fake)
-        assert all(row.kind is None for row in diag.rows)
+        rows = sweep_mu(hopf_model, [0.5, 1.5], cp=fake)
+        assert all(row.kind is None for row in rows)
 
     def test_default_cp_prefers_oscillation_candidate(self, hopf_model,
                                                       hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
-        diag = sweep_mu(hopf_model, [1.05 * th.mu0])
-        assert diag.rows[0].kind is Classification.UNSTABLE_FOCUS
+        rows = sweep_mu(hopf_model, [1.05 * th.mu0])
+        assert rows[0].kind is Classification.UNSTABLE_FOCUS
+
+    def test_subcritical_onset_reports_repelling_cycles(self, hopf_model):
+        # l1 > 0 under the softer albedo curve: the cycle is born below mu0
+        # = 0.502 around a stable focus, so the stable-focus rows are hunted.
+        params = replace(hopf_model, albedo=replace(hopf_model.albedo, steepness=0.03))
+        cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
+        rows = sweep_mu(params, [0.48, 0.49, 0.5], cp=cp, detect_cycles=True)
+        assert all(row.kind is Classification.STABLE_FOCUS for row in rows)
+        assert all(row.period is not None and row.amplitude_theta > 0 for row in rows)
+        for row in rows:
+            assert poincare_cycle(params, row.mu, cp).multiplier > 1.0
+
+    def test_supercritical_stable_focus_rows_have_no_cycle(self, hopf_model, hopf_cp):
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        rows = sweep_mu(hopf_model, [0.9 * th.mu0, 0.99 * th.mu0], cp=hopf_cp,
+                        detect_cycles=True)
+        for row in rows:
+            assert row.kind is Classification.STABLE_FOCUS
+            assert row.period is row.amplitude_theta is row.amplitude_lambda is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,15 +227,15 @@ def test_classify_rejects_nonpositive_mu(hopf_cp, hopf_model):
 # ------------------------------------------------------------- Lyapunov / Hopf
 
 
-def test_lyapunov_l1_frozen_value(hopf_cp, hopf_model):
-    l1 = gd.lyapunov_l1(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+def test_lyapunov_l1_frozen_value(hopf_cp):
+    l1 = gd.lyapunov_l1(hopf_cp)
     assert l1 == pytest.approx(-1337.9489945722878, rel=1e-9)
 
 
 def test_lyapunov_l1_independent_of_alpha2_gamma(hopf_cp):
-    a = gd.lyapunov_l1(hopf_cp, 4.0, 0.3)
-    b = gd.lyapunov_l1(hopf_cp, 2.0, 0.45)
-    assert a == b
+    a = gd.hopf_analysis(hopf_cp, 4.0, 0.3).l1
+    b = gd.hopf_analysis(hopf_cp, 2.0, 0.45).l1
+    assert a == b == gd.lyapunov_l1(hopf_cp)
 
 
 def test_hopf_analysis_summary(hopf_cp, hopf_model):
@@ -314,7 +315,8 @@ def test_center_manifold_unstable_below_mu0_generic(tangency_setup):
 def test_center_manifold_inconclusive_on_symmetric_curves(hopf_model):
     # accumulation curve solved so that both g' and g'' match f at theta_t:
     # the quadratic term of the reduced flow then vanishes
-    params = hopf_model.with_overrides(
+    params = replace(
+        hopf_model,
         accum=gd.SigmoidResponse(
             limit_minus=0.1,
             limit_plus=0.5,
