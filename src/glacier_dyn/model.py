@@ -536,8 +536,8 @@ def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
 
 
 def make_jacobian(params: ModelParams, mu: float):
-    """jac(t, y): the analytic Jacobian of the simplified field at any state,
-    for implicit solvers and variational equations."""
+    """jac(t, y): the analytic Jacobian ((a, b), (c, d)) of the simplified
+    field at any state, for variational equations and Radau (via np.asarray)."""
     gm = params.gamma
     dtheta_dlam = -mu * gm * params.alpha2
 
@@ -547,14 +547,9 @@ def make_jacobian(params: ModelParams, mu: float):
         dalb = _response_slope(params.albedo, theta)[1]
         xi, dxi = _response_slope(params.accum, theta)
         bracket = (1.0 + xi) * (1.0 - 4.0 * lam) - 1.0
-        return np.array(
-            [
-                [-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam],
-                [
-                    root * (1.0 - 4.0 * lam) * dxi,
-                    bracket / (2.0 * root) - 4.0 * root * (1.0 + xi),
-                ],
-            ]
+        return (
+            (-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam),
+            (root * (1.0 - 4.0 * lam) * dxi, bracket / (2.0 * root) - 4.0 * root * (1.0 + xi)),
         )
 
     return jac

@@ -6,7 +6,7 @@ than accuracy. Up to STIFF_MU it uses the explicit Dormand-Prince pair of
 order 8(5,3); at the default tolerance of 1e-9 it takes less than half the
 steps of a 5(4) pair on hopf_demo, for about the same number of RHS calls
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.6 and II.10). That pair
-runs in _dop853, a loop on two Python floats with scipy's DOP853 tableau and
+runs in _dop853, a loop on Python floats with scipy's DOP853 tableau and
 step controller that calls model._rates directly: scipy's solve_ivp spends
 most of its time on per-step array bookkeeping for a 2-vector. Above
 STIFF_MU it uses scipy's implicit Radau IIA method of order 5, on
@@ -18,7 +18,8 @@ events for boundaries it can actually leave through, so a restart exactly
 on a boundary zero cannot re-trigger the crossing just handled.
 
 Limit cycles are shot, not waited for: Newton's method on the return map of
-a section (Kuznetsov, Elements of Applied Bifurcation Theory, 3.5 and 10.3).
+a section (Kuznetsov, Elements of Applied Bifurcation Theory, 3.5 and 10.3),
+whose laps run on _dop853 with the variational equation as two more floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache
-from operator import mul
+from operator import mul, truediv
 
 import numpy as np
 
@@ -86,9 +87,9 @@ class Termination(enum.Enum):
 
 @dataclass
 class SolverStats:
-    """What integrate's solver did, summed over its segments: RHS and
-    Jacobian evaluations, accepted steps, rejected steps (None for Radau,
-    whose scipy result does not report them) and events located."""
+    """What a solver did, summed over integrate's segments or a cycle hunt's
+    laps: RHS and Jacobian evaluations, accepted steps, rejected steps (None
+    for Radau, whose scipy result does not report them) and events located."""
 
     method: str
     nfev: int = 0
@@ -119,7 +120,8 @@ class LimitCycle:
     """A periodic orbit. section_points are the start and the return of its
     lap on the section {theta = theta_c, rising}; multiplier is the
     nontrivial Floquet multiplier (below 1 the cycle attracts, above 1 it
-    repels); laps counts every lap the hunt integrated."""
+    repels); laps counts every lap the hunt integrated, and stats what the
+    solver did over all of them."""
 
     period: float
     amplitude_theta: float
@@ -127,6 +129,7 @@ class LimitCycle:
     section_points: list[State]
     multiplier: float
     laps: int
+    stats: SolverStats
 
 
 @dataclass(frozen=True)
@@ -187,13 +190,6 @@ def _segment_events(params: ModelParams, regime: Regime | None):
     return events, targets
 
 
-def _check_solver_status(sol, last_y):
-    if sol.status == -1:
-        raise StiffnessError(
-            sol.message, time=float(sol.t[-1]), state=(float(last_y[0]), float(last_y[1]))
-        )
-
-
 _EPS = math.ulp(1.0)
 
 
@@ -207,58 +203,79 @@ def _dop853_tableau() -> tuple:
     return rows, c.E3.tolist(), c.E5.tolist(), [tuple(d) for d in c.D.tolist()]
 
 
-def _rms(a: float, b: float) -> float:
-    return math.sqrt(0.5 * (a * a + b * b))
+@cache
+def _dop853_stages(n: int):
+    """stages(rates, rows, h, y, ks, first, stop): stages first..stop-1 of a
+    step of size h from y, with component i's rates at stage s put in
+    ks[i][s]; returns the last stage's state. The loop over the n components
+    is written out and compiled, as dataclasses compiles __init__: as a
+    Python loop it made integrate a third slower."""
+    ys, ks, zs = ([f"{c}{i}" for i in range(n)] for c in "ykz")
+    seq = ", ".join
+    src = f"""def stages(rates, rows, h, y, ks, first, stop):
+    ({seq(ys)},), ({seq(ks)},) = y, ks
+    for s in range(first, stop):
+        a = rows[s]
+        {seq(zs)}, = {seq(f"{v} + sum(map(mul, a, {k})) * h" for v, k in zip(ys, ks))},
+        {seq(f"{k}[s]" for k in ks)}, = rates({seq(zs)})
+    return [{seq(zs)}]
+"""
+    namespace = {"mul": mul}
+    exec(src, namespace)
+    return namespace["stages"]
 
 
 def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
-    """scipy's DOP853 on two floats: rates(theta, lam) is an autonomous field.
+    """scipy's DOP853 on a tuple of n floats: rates(*y) is an autonomous field.
 
     Same tableau, initial step, error norm, step controller, 10-ulp minimum
     step (StiffnessError below it) and 100*eps floor on rtol as
     solve_ivp(method="DOP853"). After each step every event is checked for a
     sign change in its direction; only then is the 7th-order dense output
     built and the root bisected on it. A terminal event ends the run with its
-    root as the last row. Counts go into stats. Returns (times, thetas, lams,
-    index of the terminal event or None).
+    root as the last row. Counts go into stats. Returns (times, one column
+    per component of y, index of the terminal event or None, the
+    non-terminal events located as (event index, root, state)).
     """
     rows, e3, e5, dense = _dop853_tableau()
-    rtol = max(rtol, 100 * _EPS)
-    t, (th, la) = t0, y0
-    k0, k1 = [0.0] * 16, [0.0] * 16
-    f0, f1 = rates(th, la)
+    n, stages = len(y0), _dop853_stages(len(y0))
+    rtol, t, y = max(rtol, 100 * _EPS), t0, list(y0)
+    f = rates(*y)
+    ks = [[v] * 16 for v in f]  # column 12 holds the rates at the current state
     # select_initial_step for an error estimator of order 7.
-    s0, s1 = atol + abs(th) * rtol, atol + abs(la) * rtol
-    d0, d1 = _rms(th / s0, la / s1), _rms(f0 / s0, f1 / s1)
+    scale = [atol + abs(v) * rtol for v in y]
+
+    def rms(v):
+        return math.sqrt(sum([q * q for q in map(truediv, v, scale)]) / n)
+
+    d0, d1 = rms(y), rms(f)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    g0, g1 = rates(th + h0 * f0, la + h0 * f1)
-    d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0
+    g = rates(*[v + h0 * w for v, w in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, g)]) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, t_end - t)
     stats.nfev += 2
-    gs = [ev(t, y0) for ev in events]
-    out = [(t, th, la)]
+    gs = [ev(t, y) for ev in events]
+    out, hits = [(t, *y)], []
     while t < t_end:
+        for k in ks:
+            k[0] = k[12]
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
                 raise StiffnessError("Required step size is less than spacing between numbers.",
-                                     time=t, state=(th, la))
+                                     time=t, state=tuple(y[:2]))
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            k0[0], k1[0] = f0, f1
-            for s in range(1, 13):  # stage 12 is the new state and its rates
-                a = rows[s]
-                y0s, y1s = th + sum(map(mul, a, k0)) * h, la + sum(map(mul, a, k1)) * h
-                k0[s], k1[s] = rates(y0s, y1s)
+            ys = stages(rates, rows, h, y, ks, 1, 13)  # stage 12 is the new state
             stats.nfev += 12
-            s0 = atol + max(abs(th), abs(y0s)) * rtol
-            s1 = atol + max(abs(la), abs(y1s)) * rtol
-            a5, b5 = sum(map(mul, e5, k0)) / s0, sum(map(mul, e5, k1)) / s1
-            a3, b3 = sum(map(mul, e3, k0)) / s0, sum(map(mul, e3, k1)) / s1
-            n5, n3 = a5 * a5 + b5 * b5, a3 * a3 + b3 * b3
-            err = h * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
+            n5 = n3 = 0.0
+            for v, w, k in zip(y, ys, ks):
+                scale = atol + max(abs(v), abs(w)) * rtol
+                q5, q3 = sum(map(mul, e5, k)) / scale, sum(map(mul, e3, k)) / scale
+                n5, n3 = n5 + q5 * q5, n3 + q3 * q3
+            err = h * n5 / math.sqrt((n5 + 0.01 * n3) * n) if n5 or n3 else 0.0
             if err < 1:
                 factor = min(10.0, 0.9 * err**-0.125) if err else 10.0
                 h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -266,44 +283,41 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
             h_abs = h * max(0.2, 0.9 * err**-0.125)
             rejected = True
             stats.rejected += 1
-        t_old, th_old, la_old, t = t, th, la, t_new
-        th, la, f0, f1 = y0s, y1s, k0[12], k1[12]
+        t_old, y_old, t, y = t, y, t_new, ys
         stats.steps += 1
-        new_gs = [ev(t, (th, la)) for ev in events]
-        hits = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
-                if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
+        new_gs = [ev(t, y) for ev in events]
+        located = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
+                   if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
         gs = new_gs
-        if hits:
-            for s in range(13, 16):
-                a = rows[s]
-                k0[s], k1[s] = rates(th_old + sum(map(mul, a, k0)) * h,
-                                     la_old + sum(map(mul, a, k1)) * h)
+        if located:
+            stages(rates, rows, h, y_old, ks, 13, 16)
             stats.nfev += 3
-            dth, dla = th - th_old, la - la_old
-            p0 = [dth, h * k0[0] - dth, 2 * dth - h * (f0 + k0[0])]
-            p1 = [dla, h * k1[0] - dla, 2 * dla - h * (f1 + k1[0])]
-            p0 += [h * sum(map(mul, d, k0)) for d in dense]
-            p1 += [h * sum(map(mul, d, k1)) for d in dense]
+            ps = []
+            for v_old, v, k in zip(y_old, y, ks):
+                dv = v - v_old
+                ps.append([dv, h * k[0] - dv, 2 * dv - h * (k[12] + k[0])]
+                          + [h * sum(map(mul, d, k)) for d in dense])
 
             def sol(tau):
-                x, q0, q1 = (tau - t_old) / h, 0.0, 0.0
+                x, qs = (tau - t_old) / h, [0.0] * n
                 for i in range(6, -1, -1):
                     w = x if i % 2 == 0 else 1.0 - x
-                    q0, q1 = (q0 + p0[i]) * w, (q1 + p1[i]) * w
-                return th_old + q0, la_old + q1
+                    qs = [(q + p[i]) * w for q, p in zip(qs, ps)]
+                return tuple(v + q for v, q in zip(y_old, qs))
 
             roots = sorted(
                 (bisect(lambda tau: events[i](tau, sol(tau)), t_old, t,
                         xtol=4 * _EPS, rtol=4 * _EPS), i)
-                for i in hits
+                for i in located
             )
             for root, i in roots:
                 stats.events += 1
                 if events[i].terminal:
                     out.append((root, *sol(root)))
-                    return (*zip(*out), i)
-        out.append((t, th, la))
-    return (*zip(*out), None)
+                    return (*zip(*out), i, hits)
+                hits.append((i, root, sol(root)))
+        out.append((t, *y))
+    return (*zip(*out), None, hits)
 
 
 def integrate(
@@ -354,15 +368,17 @@ def integrate(
                 make_rhs(params, mu, regime), (t0, t_end), y0, method="Radau",
                 rtol=rel_tol, atol=abs_tol, events=events, **extra,
             )
-            _check_solver_status(sol, sol.y[:, -1])
             ts, ths, las = sol.t, sol.y[0], sol.y[1]
+            if sol.status == -1:
+                raise StiffnessError(sol.message, time=float(ts[-1]),
+                                     state=(float(ths[-1]), float(las[-1])))
             fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
             stats.nfev += sol.nfev
             stats.njev += sol.njev
             stats.steps += len(ts) - 1
             stats.events += fired is not None
         else:
-            ts, ths, las, fired = _dop853(
+            ts, ths, las, fired, _ = _dop853(
                 lambda th, la, regime=regime: _rates(params, mu, th, la, regime),
                 t0, y0, t_end, rel_tol, abs_tol, events, stats,
             )
@@ -408,17 +424,18 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     lap outlasts cap, reaches the lambda floor, or the hunt has spent budget.
 
     The flow runs with its variational equation for d/dlam to the falling,
-    then the rising crossing. dP/dlam is the variation's lambda-row less the
-    return-time shift, (dlambda/dtau)/(dtheta/dtau) times its theta-row.
-    Turning points (lambda = f(theta), lambda = g(theta)) give the amplitudes.
+    then the rising crossing, on _dop853. dP/dlam is the variation's
+    lambda-row less the return-time shift, (dlambda/dtau)/(dtheta/dtau) times
+    its theta-row. Turning points (lambda = f(theta), lambda = g(theta)) give
+    the amplitudes. Every lap adds its solver counts to one SolverStats.
     """
-    rhs = make_rhs(params, mu)
     jac = make_jacobian(params, mu)
+    stats = SolverStats("DOP853")
     spent = [0.0, 0]  # time integrated, laps
 
-    def flow(t, y):
-        (a, b), (c, d) = jac(t, y[:2])
-        return (*rhs(t, y[:2]), a * y[2] + b * y[3], c * y[2] + d * y[3])
+    def flow(theta, lam, u, v):  # (u, v) = d(theta, lam)/dlam at the start
+        (a, b), (c, d) = jac(None, (theta, lam))
+        return (*_rates(params, mu, theta, lam, None), a * u + b * v, c * u + d * v)
 
     def crossing(t, y):
         return y[0] - cp.theta_c
@@ -429,8 +446,9 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     def lam_turn(t, y):
         return nullcline_g(params, y[0]) - y[1]
 
-    crossing.terminal = True
     events = [crossing, _floor_event, theta_turn, lam_turn]
+    crossing.terminal, theta_turn.terminal, lam_turn.terminal = True, False, False
+    theta_turn.direction = lam_turn.direction = 0
 
     def lap(lam: float) -> LimitCycle | None:
         spent[1] += 1
@@ -440,23 +458,23 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
         thetas, lams = [cp.theta_c], [lam]
         for direction in (-1, 1):
             crossing.direction = direction
-            sol = solve_ivp(flow, (t, t_max), y, method="DOP853", rtol=_SHOOT_RTOL,
-                            atol=_SHOOT_RTOL * 1e-2, events=events)
-            _check_solver_status(sol, sol.y[:, -1])
-            spent[0] += float(sol.t[-1]) - t
-            thetas += [v[0] for v in sol.y_events[2]]
-            lams += [v[1] for v in sol.y_events[3]]
-            if not len(sol.t_events[0]):
+            ts, *ys, fired, hits = _dop853(flow, t, y, t_max, _SHOOT_RTOL, _SHOOT_RTOL * 1e-2,
+                                           events, stats)
+            spent[0] += ts[-1] - t
+            thetas += [state[0] for i, _, state in hits if i == 2]
+            lams += [state[1] for i, _, state in hits if i == 3]
+            if fired != 0:
                 return None
-            t, y = float(sol.t_events[0][0]), sol.y_events[0][0]
-        dtheta, dlam = rhs(t, y[:2])
+            t, y = ts[-1], tuple(column[-1] for column in ys)
+        dtheta, dlam = _rates(params, mu, y[0], y[1], None)
         return LimitCycle(
             period=t,
-            amplitude_theta=0.5 * float(max(thetas) - min(thetas)),
-            amplitude_lambda=0.5 * float(max(lams) - min(lams)),
-            section_points=[State(cp.theta_c, lam), State(cp.theta_c, float(y[1]))],
-            multiplier=float(y[3] - dlam / dtheta * y[2]),
+            amplitude_theta=0.5 * (max(thetas) - min(thetas)),
+            amplitude_lambda=0.5 * (max(lams) - min(lams)),
+            section_points=[State(cp.theta_c, lam), State(cp.theta_c, y[1])],
+            multiplier=y[3] - dlam / dtheta * y[2],
             laps=spent[1],
+            stats=stats,
         )
 
     return lap
@@ -556,8 +574,8 @@ def sweep_mu(
     mu0.
     """
     grid = sorted(float(m) for m in mu_grid)
-    if not grid or grid[0] <= 0:
-        raise ValueError("mu grid must be nonempty and positive")
+    if not grid or not all(math.isfinite(m) and m > 0 for m in grid):
+        raise ValueError("mu grid must be nonempty, finite and positive")
     if cp is None:
         points = find_equilibria(params)
         hopfish = [p for p in points if p.g1 > p.f1 > 0]
@@ -575,20 +593,7 @@ def sweep_mu(
     rows = []
     for mu in grid:
         kind = classify(cp, mu, params.alpha2, params.gamma)
-        period = amp_t = amp_l = None
-        if detect_cycles and kind in hunt:
-            cycle = poincare_cycle(params, mu, cp)
-            if cycle is not None:
-                period = cycle.period
-                amp_t = cycle.amplitude_theta
-                amp_l = cycle.amplitude_lambda
-        rows.append(
-            BifRow(
-                mu=mu,
-                kind=kind,
-                period=period,
-                amplitude_theta=amp_t,
-                amplitude_lambda=amp_l,
-            )
-        )
+        cycle = poincare_cycle(params, mu, cp) if detect_cycles and kind in hunt else None
+        rows.append(BifRow(mu, kind) if cycle is None else BifRow(
+            mu, kind, cycle.period, cycle.amplitude_theta, cycle.amplitude_lambda))
     return rows

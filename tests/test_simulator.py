@@ -208,11 +208,18 @@ class TestFullModel:
 
 def _solve_ivp_kernel(rates, t0, y0, t_end, rtol, atol, events, stats):
     """simulator._dop853's contract, met by solve_ivp: the second route."""
-    sol = solve_ivp(lambda t, y: rates(float(y[0]), float(y[1])), (t0, t_end), y0,
+    sol = solve_ivp(lambda t, y: rates(*y.tolist()), (t0, t_end), y0,
                     method="DOP853", rtol=rtol, atol=atol, events=events)
     assert sol.status >= 0, sol.message
-    fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
-    return sol.t, sol.y[0], sol.y[1], fired
+    fired = next((i for i, te in enumerate(sol.t_events)
+                  if len(te) and events[i].terminal), None)
+    hits = sorted(((i, float(t), tuple(y.tolist()))
+                   for i, (ts, ys) in enumerate(zip(sol.t_events, sol.y_events))
+                   if not events[i].terminal for t, y in zip(ts, ys)), key=lambda h: h[1])
+    stats.nfev += sol.nfev
+    stats.steps += len(sol.t) - 1
+    stats.events += sum(len(te) for te in sol.t_events)
+    return (sol.t, *sol.y, fired, hits)
 
 
 def _both_routes(monkeypatch, params, start, t_end, mu=1.0, **kwargs):
@@ -291,6 +298,24 @@ class TestExplicitKernel:
             simulator._dop853(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
                               simulator.SolverStats("DOP853"))
         assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
+
+    def test_only_radau_goes_through_solve_ivp(self, hopf_model, hopf_cp, monkeypatch):
+        # One explicit stepper: integrate's DOP853 and the shooting laps both
+        # run on _dop853, so solve_ivp sees only the stiff path.
+        real = simulator.solve_ivp
+
+        def radau_only(*args, **kwargs):
+            assert kwargs.get("method") == "Radau", f"solve_ivp({kwargs.get('method')!r})"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_ivp", radau_only)
+        mu0 = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma).mu0
+        rows = sweep_mu(hopf_model, [0.9 * mu0, 1.16 * mu0, 1.46 * mu0, 1.9 * mu0, 6.6],
+                        cp=hopf_cp, detect_cycles=True)
+        assert [row.period is not None for row in rows] == [False, True, True, True, False]
+        for kind in ModelKind:
+            traj = integrate(hopf_model, 3.0, State(1.40, 0.05), 5.0, model=kind)
+            assert traj.stats.method == "DOP853"
 
     def test_radau_path_reports_stats(self, hopf_model):
         traj = integrate(hopf_model, 300.0, State(1.40, 0.05), 1.0)
@@ -481,6 +506,52 @@ class TestPoincareCycle:
         assert cycle.period == pytest.approx(2.057464, rel=1e-4)
         assert cycle.amplitude_theta == pytest.approx(0.016974, rel=1e-3)
 
+    @pytest.mark.parametrize("steepness, factor", [(None, 1.16), (None, 1.46), (0.03, 0.99)])
+    def test_laps_match_solve_ivp(self, hopf_model, hopf_cp, monkeypatch, steepness, factor):
+        # The second route: the same hunt with every lap solved by solve_ivp,
+        # on hopf_demo's window and around the subcritical onset's stable focus.
+        params, cp = hopf_model, hopf_cp
+        if steepness is not None:
+            params = replace(hopf_model, albedo=replace(hopf_model.albedo, steepness=steepness))
+            cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
+        mu = factor * hopf_analysis(cp, params.alpha2, params.gamma).mu0
+        ours = poincare_cycle(params, mu, cp)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_dop853", _solve_ivp_kernel)
+            theirs = poincare_cycle(params, mu, cp)
+        assert ours.laps == theirs.laps
+        assert ours.period == pytest.approx(theirs.period, rel=1e-9)
+        assert ours.section_points[0].lam == pytest.approx(theirs.section_points[0].lam, rel=1e-9)
+        assert ours.amplitude_theta == pytest.approx(theirs.amplitude_theta, abs=1e-9)
+        assert ours.amplitude_lambda == pytest.approx(theirs.amplitude_lambda, abs=1e-9)
+        assert ours.multiplier == pytest.approx(theirs.multiplier, rel=1e-7)
+        for name in ("steps", "nfev"):
+            want = getattr(theirs.stats, name)
+            assert abs(getattr(ours.stats, name) - want) <= 0.02 * want
+
+    def test_stats_sum_over_the_laps(self, hopf_model, hopf_cp, monkeypatch):
+        real, calls = simulator._rates, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "_rates", counted)
+        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        cycle = poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp)
+        stats = cycle.stats
+        assert stats.method == "DOP853" and stats.njev == 0
+        # Each lap has two halves and locates six events: two section
+        # crossings and the two turning points of theta and of lambda.
+        assert stats.events == 6 * cycle.laps
+        # 2 RHS calls start each half-lap, 12 go into every attempted step
+        # and 3 into the dense output of each step that located an event (at
+        # this tolerance no step holds two). The multiplier costs one more
+        # call per lap, outside the solver.
+        assert stats.nfev == (2 * 2 * cycle.laps + 12 * (stats.steps + stats.rejected)
+                              + 3 * stats.events)
+        assert calls[0] == stats.nfev + cycle.laps
+
     @pytest.mark.parametrize("start", [1e-3, 0.5, 1.0 - 1e-9])
     def test_bad_first_guess_falls_back_to_bracket(self, hopf_model, hopf_cp,
                                                    monkeypatch, start):
@@ -517,6 +588,10 @@ class TestSweepMu:
             sweep_mu(hopf_model, [])
         with pytest.raises(ValueError):
             sweep_mu(hopf_model, [0.5, -1.0])
+        with pytest.raises(ValueError):
+            sweep_mu(hopf_model, [3.0, math.inf], detect_cycles=True)
+        with pytest.raises(ValueError):
+            sweep_mu(hopf_model, [math.nan, 3.0], detect_cycles=True)
 
     def test_classification_flips_across_thresholds(self, hopf_model, hopf_cp):
         th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
