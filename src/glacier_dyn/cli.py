@@ -15,8 +15,10 @@ and nullclines; --seed on verify. analyze always prints JSON, simulate CSV
 and verify text. A missing required option or one the command does not take
 is an argparse error and exits 2.
 
-Exit codes: 0 success, 2 configuration error, 3 domain termination (lambda
-floor reached during simulate), 4 verification failure.
+Exit codes: 0 success, 2 configuration error or any other input the model
+cannot take (every GlacierDynError, e.g. rates that overflow at the start of
+simulate), 3 domain termination (lambda floor reached during simulate),
+4 verification failure. Each exit 2 prints one `error:` line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .equilibria import find_equilibria
-from .errors import ConfigError, DegenerateSlope, NotHopfCandidate
+from .errors import ConfigError, DegenerateSlope, GlacierDynError, NotHopfCandidate
 from .model import (
     ModelParams,
     PhysicalParams,
@@ -169,19 +171,20 @@ def cmd_analyze(args) -> int:
     rows = []
     for cp in points:
         derivatives = asdict(cp)
+        del derivatives["alpha2"], derivatives["gamma"]
         row = {
             "theta_c": derivatives.pop("theta_c"),
             "lambda_c": derivatives.pop("lambda_c"),
             "derivatives": derivatives,
             "mu": mu,
-            "classification": classify(cp, mu, model.alpha2, model.gamma).value,
+            "classification": classify(cp, mu).value,
         }
         try:
-            row["thresholds"] = asdict(mu_thresholds(cp, model.alpha2, model.gamma))
+            row["thresholds"] = asdict(mu_thresholds(cp))
         except DegenerateSlope:
             row["thresholds"] = None
         try:
-            hopf = asdict(hopf_analysis(cp, model.alpha2, model.gamma))
+            hopf = asdict(hopf_analysis(cp))
             row["hopf"] = {**hopf, "criticality": hopf["criticality"].value}
         except NotHopfCandidate:
             row["hopf"] = None
@@ -338,7 +341,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.func(args)
-    except ConfigError as exc:
+    except GlacierDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

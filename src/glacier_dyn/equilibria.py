@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, NoBranches, TangencyWarning
 from .model import ModelParams, bisect, nullcline_f, nullcline_g, response_eval
 
-ROOT_TOL = 1e-12
 TANGENCY_TOL = 1e-9
 
 
@@ -28,7 +27,9 @@ class CriticalPoint:
     """Equilibrium (theta_c, lambda_c) with cached derivative data.
 
     f1..f3 and g1, g2 are theta-derivatives of the nullclines at theta_c;
-    xi_c and xi1..xi3 are the accumulation response and its derivatives.
+    xi_c and xi1..xi3 are the accumulation response and its derivatives;
+    alpha2 and gamma are the model's, so that the closed forms in stability
+    need nothing but the point and mu.
     """
 
     theta_c: float
@@ -42,6 +43,8 @@ class CriticalPoint:
     xi1: float
     xi2: float
     xi3: float
+    alpha2: float
+    gamma: float
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ def critical_point_at(params: ModelParams, theta_c: float) -> CriticalPoint:
         xi1=response_eval(params.accum, theta_c, 1),
         xi2=response_eval(params.accum, theta_c, 2),
         xi3=response_eval(params.accum, theta_c, 3),
+        alpha2=params.alpha2,
+        gamma=params.gamma,
     )
 
 

@@ -42,7 +42,8 @@ class ConditioningError(GlacierDynError):
 
 
 class StiffnessError(GlacierDynError):
-    """Integrator step size underflowed; carries the last reached state."""
+    """Integrator step size underflowed, or the rates at the start overflow
+    the first-step rule; carries the last reached state."""
 
     def __init__(self, message: str, time: float, state: tuple[float, float]):
         super().__init__(message)

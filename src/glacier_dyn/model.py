@@ -187,8 +187,11 @@ class SigmoidResponse:
 
     def __post_init__(self):
         _require_finite(self, ("limit_minus", "limit_plus", "center", "steepness"))
-        if not self.steepness > 0:
-            raise ConfigError(f"steepness must be positive, got {self.steepness}")
+        # response_eval divides by steepness**order up to order 3; the cube is
+        # multiplied out because ** raises on overflow.
+        s = self.steepness
+        if not 0.0 < s * s * s < math.inf:
+            raise ConfigError(f"steepness must be positive with a nonzero finite cube, got {s}")
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "curve") -> "SigmoidResponse":
@@ -398,18 +401,19 @@ def nondimensionalize(p: PhysicalParams) -> tuple[ModelParams, Scales]:
     beta = -4A/Q
 
     The response-curve centers and steepnesses are already in dimensionless
-    theta units and pass through unchanged. Inputs whose H^2 or s^2
-    underflows to 0, or whose scales overflow, raise ScaleError.
+    theta units and pass through unchanged. Inputs whose H^2, s^2 or mu's
+    denominator m*s*c underflows to 0 (as it does whenever t*'s m*s does),
+    or whose scales overflow, raise ScaleError.
     """
     H = sheet_height_scale(p.tau0, p.rho_i, p.grav)
-    for symbol, square in (("H^2", H * H), ("s^2", p.s * p.s)):
-        if square == 0.0:
-            raise ScaleError(symbol, square)
+    m_per_second = p.m_rate / SECONDS_PER_YEAR
+    for symbol, value in (("H^2", H * H), ("s^2", p.s * p.s), ("m*s*c", m_per_second * p.s * p.c)):
+        if value == 0.0:
+            raise ScaleError(symbol, value)
     T_star = p.Q / (4.0 * p.B)
     L_star = H * H / (p.s * p.s)
     eps = p.s * p.h0 / (H * H)
     t_star = 1.5 * H * H / (p.m_rate * p.s)
-    m_per_second = p.m_rate / SECONDS_PER_YEAR
     mu = 1.5 * p.B * H * H / (m_per_second * p.s * p.c)
     beta = -4.0 * p.A / p.Q
     scales = Scales(T_star=T_star, L_star=L_star, t_star=t_star, mu=mu)

@@ -454,7 +454,7 @@ def run_verification(
 
     worst = 0.0
     for cp in points:
-        jac = jacobian(cp, mu, params.alpha2, params.gamma)
+        jac = jacobian(cp, mu)
         fd = fd_jacobian(params, mu, State(theta=cp.theta_c, lam=cp.lambda_c))
         scale = max(abs(jac.a11), abs(jac.a12), abs(jac.a21), abs(jac.a22))
         worst = max(
@@ -480,11 +480,11 @@ def run_verification(
     ok = True
     details = []
     for cp in hopf_points:
-        th = mu_thresholds(cp, params.alpha2, params.gamma)
+        th = mu_thresholds(cp)
         if not (0 < th.mu1 < th.mu0 < th.mu2):
             ok = False
             details.append(f"ordering violated at theta_c = {cp.theta_c:.6g}")
-        r1, _ = eigenvalues(cp, th.mu0, params.alpha2, params.gamma)
+        r1, _ = eigenvalues(cp, th.mu0)
         if abs(r1.real) > 1e-12 * max(1.0, abs(r1.imag)):
             ok = False
             details.append(f"nonzero real part {r1.real:.3g} at mu0")
@@ -496,7 +496,7 @@ def run_verification(
 
     worst = 0.0
     for cp in hopf_points:
-        data = hopf_analysis(cp, params.alpha2, params.gamma)
+        data = hopf_analysis(cp)
         l1_num = numeric_l1(params, cp)
         worst = max(worst, abs(data.l1 - l1_num) / max(1.0, abs(data.l1)))
     report.add(

@@ -339,7 +339,8 @@ def integrate(
     the state one tiny Euler step into the new regime so the next segment
     starts strictly off the boundary. Either model terminates early when
     lambda reaches the floor. A non-finite or non-positive mu raises
-    DomainError.
+    DomainError; rates that overflow the first-step rule at a segment start
+    raise StiffnessError.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -363,6 +364,13 @@ def integrate(
     for _ in range(_MAX_SEGMENTS):
         regime = regime_of(params, max(y0[1], LAMBDA_FLOOR)) if full else None
         events, targets = _segment_events(params, regime)
+        # Both first-step rules take the RMS of rate/(abs_tol + |y|*rel_tol)
+        # and fail, with no typed error, where it overflows.
+        rates = _rates(params, mu, *y0, regime)
+        scaled = [r / (abs_tol + abs(v) * rel_tol) for r, v in zip(rates, y0)]
+        if not math.isfinite(sum([q * q for q in scaled])):
+            raise StiffnessError(f"rates {rates} at (theta, lambda) = {y0} overflow the "
+                                 "first-step rule", time=t0, state=y0)
         if stiff:
             sol = solve_ivp(
                 make_rhs(params, mu, regime), (t0, t_end), y0, method="Radau",
@@ -489,7 +497,7 @@ def _normal_form_start(params: ModelParams, mu: float, cp: CriticalPoint) -> flo
     crossing of theta = theta_c lies r*sqrt(1 - f'/g') below lambda_c.
     """
     try:
-        hopf = hopf_analysis(cp, params.alpha2, params.gamma)
+        hopf = hopf_analysis(cp)
     except GlacierDynError:
         return None
     r2 = -2.0 * hopf.transversality * (mu - hopf.mu0) / (hopf.omega0 * hopf.l1) if hopf.l1 else 0.0
@@ -517,7 +525,7 @@ def poincare_cycle(
         raise DomainError(f"mu must be finite and positive, got {mu}")
     if not max_time > 0:
         raise ValueError(f"max_time must be positive, got {max_time}")
-    det = jacobian(cp, mu, params.alpha2, params.gamma).det
+    det = jacobian(cp, mu).det
     if not det > 0:
         return None
     lam_c = cp.lambda_c
@@ -586,13 +594,11 @@ def sweep_mu(
         return [BifRow(mu=m, kind=None) for m in grid]
 
     hunt = {Classification.UNSTABLE_FOCUS, Classification.HOPF_CENTER}
-    if detect_cycles and cp.g1 > cp.f1 > 0 and (
-        hopf_analysis(cp, params.alpha2, params.gamma).criticality is Criticality.SUBCRITICAL
-    ):
+    if detect_cycles and cp.g1 > cp.f1 > 0 and hopf_analysis(cp).criticality is Criticality.SUBCRITICAL:
         hunt.add(Classification.STABLE_FOCUS)
     rows = []
     for mu in grid:
-        kind = classify(cp, mu, params.alpha2, params.gamma)
+        kind = classify(cp, mu)
         cycle = poincare_cycle(params, mu, cp) if detect_cycles and kind in hunt else None
         rows.append(BifRow(mu, kind) if cycle is None else BifRow(
             mu, kind, cycle.period, cycle.amplitude_theta, cycle.amplitude_lambda))

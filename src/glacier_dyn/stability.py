@@ -1,10 +1,10 @@
 """Linear stability and local bifurcation analysis at equilibria.
 
-Everything here is closed-form in the cached nullcline derivatives of a
-CriticalPoint: the Jacobian, its eigenvalues, the mu windows separating node,
-focus, and unstable behaviour, the first Lyapunov coefficient at the Hopf
-value mu0, and the quadratic center-manifold coefficient at a nullcline
-tangency.
+Everything here is closed-form in a CriticalPoint, which carries the
+nullcline derivatives and the model's alpha2 and gamma, and mu: the Jacobian,
+its eigenvalues, the mu windows separating node, focus, and unstable
+behaviour, the first Lyapunov coefficient at the Hopf value mu0, and the
+quadratic center-manifold coefficient at a nullcline tangency.
 """
 
 from __future__ import annotations
@@ -93,23 +93,21 @@ def is_tangent(cp: CriticalPoint) -> bool:
     return abs(cp.f1 - cp.g1) <= TANGENCY_REL_TOL * max(abs(cp.f1), abs(cp.g1))
 
 
-def jacobian(cp: CriticalPoint, mu: float, alpha2: float, gamma: float) -> Jacobian2:
+def jacobian(cp: CriticalPoint, mu: float) -> Jacobian2:
     """Linearization [[mu*a2*g*f', -mu*a2*g], [(xi/sqrt(lam))*g', -xi/sqrt(lam)]]."""
     if not cp.lambda_c > 0:
         raise DomainError(f"lambda_c must be positive, got {cp.lambda_c}")
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    k = mu * alpha2 * gamma
+    k = mu * cp.alpha2 * cp.gamma
     b = cp.xi_c / math.sqrt(cp.lambda_c)
     return Jacobian2(a11=k * cp.f1, a12=-k, a21=b * cp.g1, a22=-b)
 
 
-def eigenvalues(
-    cp: CriticalPoint, mu: float, alpha2: float, gamma: float
-) -> tuple[complex, complex]:
+def eigenvalues(cp: CriticalPoint, mu: float) -> tuple[complex, complex]:
     """Eigenvalue pair (tr/2 +- sqrt(tr^2 - 4 det)/2), exactly conjugate when
     the discriminant is negative."""
-    jac = jacobian(cp, mu, alpha2, gamma)
+    jac = jacobian(cp, mu)
     tr, det = jac.trace, jac.det
     disc = tr * tr - 4.0 * det
     if disc >= 0:
@@ -119,7 +117,7 @@ def eigenvalues(
     return complex(0.5 * tr, imag), complex(0.5 * tr, -imag)
 
 
-def mu_thresholds(cp: CriticalPoint, alpha2: float, gamma: float) -> MuThresholds:
+def mu_thresholds(cp: CriticalPoint) -> MuThresholds:
     """Stability-window boundaries from the trace/discriminant closed forms.
 
     mu1, mu2 are the discriminant zeros, present when g' >= f' and f' != 0;
@@ -133,19 +131,17 @@ def mu_thresholds(cp: CriticalPoint, alpha2: float, gamma: float) -> MuThreshold
     b = cp.xi_c / math.sqrt(cp.lambda_c)
     mu1 = mu2 = mu0 = omega0 = None
     if g1 >= f1:
-        scale = b / (alpha2 * gamma * f1 * f1)
+        scale = b / (cp.alpha2 * cp.gamma * f1 * f1)
         root = 2.0 * math.sqrt(g1 * (g1 - f1))
         mu1 = scale * (2.0 * g1 - f1 - root)
         mu2 = scale * (2.0 * g1 - f1 + root)
     if g1 > f1 > 0:
-        mu0 = b / (alpha2 * gamma * f1)
+        mu0 = b / (cp.alpha2 * cp.gamma * f1)
         omega0 = b * math.sqrt(g1 / f1 - 1.0)
     return MuThresholds(mu1=mu1, mu2=mu2, mu0=mu0, omega0=omega0)
 
 
-def classify(
-    cp: CriticalPoint, mu: float, alpha2: float, gamma: float
-) -> Classification:
+def classify(cp: CriticalPoint, mu: float) -> Classification:
     """Equilibrium type at the given mu, with the interval endpoints closed or
     open exactly as the stability windows prescribe."""
     if not mu > 0:
@@ -154,14 +150,14 @@ def classify(
         return Classification.NON_HYPERBOLIC_TANGENCY
     f1, g1 = cp.f1, cp.g1
     if f1 < 0:
-        th = mu_thresholds(cp, alpha2, gamma)
+        th = mu_thresholds(cp)
         if th.mu1 is None or mu <= th.mu1 or mu >= th.mu2:
             return Classification.STABLE_NODE
         return Classification.STABLE_FOCUS
     if g1 < f1:
         return Classification.SADDLE
     # g' > f' > 0: the full node/focus/Hopf/unstable ladder.
-    th = mu_thresholds(cp, alpha2, gamma)
+    th = mu_thresholds(cp)
     if abs(mu - th.mu0) <= HOPF_CENTER_REL_TOL * th.mu0:
         return Classification.HOPF_CENTER
     if mu <= th.mu1:
@@ -211,12 +207,7 @@ def lyapunov_l1(cp: CriticalPoint) -> float:
     return term1 + term2 + term3
 
 
-def hopf_analysis(
-    cp: CriticalPoint,
-    alpha2: float,
-    gamma: float,
-    degeneracy_tol: float = 1e-8,
-) -> HopfData:
+def hopf_analysis(cp: CriticalPoint, degeneracy_tol: float = 1e-8) -> HopfData:
     """Hopf point data at mu0 for a critical point with g' > f' > 0.
 
     l1 is local: it needs three derivatives of both response curves at
@@ -227,7 +218,7 @@ def hopf_analysis(
         raise NotHopfCandidate(
             f"need g' > f' > 0 at the critical point, got f' = {cp.f1}, g' = {cp.g1}"
         )
-    th = mu_thresholds(cp, alpha2, gamma)
+    th = mu_thresholds(cp)
     l1 = lyapunov_l1(cp)
     tol = degeneracy_tol * (1.0 + abs(l1))
     if abs(l1) <= tol:
@@ -241,12 +232,12 @@ def hopf_analysis(
         omega0=th.omega0,
         l1=l1,
         criticality=crit,
-        transversality=0.5 * alpha2 * gamma * cp.f1,
+        transversality=0.5 * cp.alpha2 * cp.gamma * cp.f1,
     )
 
 
 def tangency_directions(
-    cp: CriticalPoint, mu: float, alpha2: float, gamma: float
+    cp: CriticalPoint, mu: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Eigenvector pair (p, q) at an f' = g' tangency.
 
@@ -256,22 +247,19 @@ def tangency_directions(
     b = cp.xi_c / math.sqrt(cp.lambda_c)
     w = 4.0 * cp.lambda_c ** 1.5 * cp.xi1 / cp.xi_c
     p = (-b, -w)
-    q = (gamma * mu * alpha2 * cp.f1, w)
+    q = (cp.gamma * mu * cp.alpha2 * cp.f1, w)
     return p, q
 
 
 def center_manifold(
-    cp: CriticalPoint,
-    mu: float,
-    alpha1: float,
-    alpha2: float,
-    gamma: float,
+    cp: CriticalPoint, mu: float
 ) -> tuple[float, float, CenterManifoldVerdict]:
     """Quadratic center-manifold reduction at an f' = g' > 0 tangency.
 
     Returns (c2, quad_coeff, verdict): c2 is the quadratic coefficient of the
-    manifold graph kappa = K(psi), quad_coeff the psi^2 coefficient of the
-    reduced flow
+    manifold graph kappa = K(psi), over powers of the same linear factor
+    xi - alpha2*gamma*sqrt(lambda)*mu*f' as quad_coeff, the psi^2 coefficient
+    of the reduced flow
 
         dpsi/dtau = 2*alpha2*gamma*mu*xi^2*(f'' - g'')
                     / (alpha2*gamma*sqrt(lambda)*mu*f' - xi)^3 * psi^2 + ...
@@ -288,24 +276,16 @@ def center_manifold(
         raise NotTangent(f"tangency analysis needs f' > 0, got {cp.f1}")
     sq = math.sqrt(cp.lambda_c)
     xi, x1, x2 = cp.xi_c, cp.xi1, cp.xi2
-    mu0 = xi / (alpha2 * gamma * cp.f1 * sq)
+    a2, gm = cp.alpha2, cp.gamma
+    mu0 = xi / (a2 * gm * cp.f1 * sq)
 
-    denom_lin = xi - alpha1 * gamma * sq * mu * cp.f1
+    denom_lin = xi - a2 * gm * sq * mu * cp.f1
     c2 = (
-        alpha2 * gamma * sq * mu * x1 * (4.0 * cp.lambda_c**2 * x2 - xi * xi * cp.f2)
+        a2 * gm * sq * mu * x1 * (4.0 * cp.lambda_c**2 * x2 - xi * xi * cp.f2)
         + xi * xi * x2 * denom_lin
         - 8.0 * cp.lambda_c * xi * xi * x1 * x1
     ) / (2.0 * sq * x1 * denom_lin**2)
-    quad = (
-        2.0
-        * alpha2
-        * gamma
-        * mu
-        * xi
-        * xi
-        * (cp.f2 - cp.g2)
-        / (alpha2 * gamma * sq * mu * cp.f1 - xi) ** 3
-    )
+    quad = 2.0 * a2 * gm * mu * xi * xi * (cp.f2 - cp.g2) / (a2 * gm * sq * mu * cp.f1 - xi) ** 3
 
     if mu > mu0:
         verdict = CenterManifoldVerdict.UNSTABLE

@@ -98,7 +98,7 @@ def test_c03_linearization_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for params, cp, mu in draws:
-        closed = gd.jacobian(cp, mu, params.alpha2, params.gamma)
+        closed = gd.jacobian(cp, mu)
         fd = fd_jacobian(params, mu, gd.State(cp.theta_c, cp.lambda_c))
         scale = max(abs(closed.a11), abs(closed.a12),
                     abs(closed.a21), abs(closed.a22))
@@ -108,7 +108,7 @@ def test_c03_linearization_equivalence():
                     abs(closed.a21 - fd.a21) / scale,
                     abs(closed.a22 - fd.a22) / scale)
         ec = np.sort_complex(np.array(
-            gd.eigenvalues(cp, mu, params.alpha2, params.gamma)))
+            gd.eigenvalues(cp, mu)))
         ef = np.sort_complex(np.linalg.eigvals(
             np.array([[fd.a11, fd.a12], [fd.a21, fd.a22]])))
         worst = max(worst, float(np.max(np.abs(ec - ef)))
@@ -124,12 +124,12 @@ def test_c04_hopf_thresholds(hopf_draws):
     worst_imag = 0.0
     worst_trans = 0.0
     for params, cp in hopf_draws:
-        th = gd.mu_thresholds(cp, params.alpha2, params.gamma)
+        th = gd.mu_thresholds(cp)
         ordering &= 0.0 < th.mu1 < th.mu0 < th.mu2
-        ev = gd.eigenvalues(cp, th.mu0, params.alpha2, params.gamma)
+        ev = gd.eigenvalues(cp, th.mu0)
         worst_imag = max(worst_imag, abs(ev[0].real) / abs(ev[0].imag))
         h = 1e-6 * th.mu0
-        re = lambda m: gd.eigenvalues(cp, m, params.alpha2, params.gamma)[0].real
+        re = lambda m: gd.eigenvalues(cp, m)[0].real
         fd_t = (re(th.mu0 + h) - re(th.mu0 - h)) / (2.0 * h)
         closed_t = 0.5 * params.alpha2 * params.gamma * cp.f1
         worst_trans = max(worst_trans, abs(fd_t / closed_t - 1.0))
@@ -156,7 +156,7 @@ def test_c06_fig3_thresholds_with_family_caveat(table1_model, hopf_model,
                                                 hopf_cp):
     t0 = time.perf_counter()
     interior = gd.find_equilibria(table1_model)[1]
-    th = gd.mu_thresholds(interior, table1_model.alpha2, table1_model.gamma)
+    th = gd.mu_thresholds(interior)
     in_tolerance = (th.mu0 is not None
                     and abs(th.mu0 / 1.915 - 1.0) <= 0.10)
     if in_tolerance:
@@ -185,7 +185,7 @@ def test_c06_fig3_thresholds_with_family_caveat(table1_model, hopf_model,
 def test_c07_limit_cycle_dimensional_period(table1_model, table1_scales):
     t0 = time.perf_counter()
     interior = gd.find_equilibria(table1_model)[1]
-    th = gd.mu_thresholds(interior, table1_model.alpha2, table1_model.gamma)
+    th = gd.mu_thresholds(interior)
     # The onset threshold does not exist for this family (saddle interior
     # point); fall back to the printed value so the hunt can still run.
     mu0 = th.mu0 if th.mu0 is not None else 1.915
@@ -209,9 +209,9 @@ def test_c07_limit_cycle_dimensional_period(table1_model, table1_scales):
 
 
 def test_c08_normal_form_amplitude_scaling(hopf_model, hopf_cp):
-    th = gd.mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+    th = gd.mu_thresholds(hopf_cp)
     assert lyapunov_l1(hopf_cp) < 0
-    hopf = gd.hopf_analysis(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+    hopf = gd.hopf_analysis(hopf_cp)
     delta = 1e-3
     t0 = time.perf_counter()
     near = gd.poincare_cycle(hopf_model, th.mu0 * (1 + delta), hopf_cp)
@@ -260,12 +260,11 @@ def test_c10_tangency_drift_sign(tangency_setup):
     params, cp, mu0 = tangency_setup
     t0 = time.perf_counter()
     mu = 0.5 * mu0
-    _, quad, _ = center_manifold(cp, mu, params.alpha1, params.alpha2,
-                                 params.gamma)
-    p, q = tangency_directions(cp, mu, params.alpha2, params.gamma)
+    _, quad, _ = center_manifold(cp, mu)
+    p, q = tangency_directions(cp, mu)
     p = np.array(p, float)
     q = np.array(q, float)
-    jac = gd.jacobian(cp, mu, params.alpha2, params.gamma)
+    jac = gd.jacobian(cp, mu)
     J = np.array([[jac.a11, jac.a12], [jac.a21, jac.a22]])
     tr = J[0, 0] + J[1, 1]
     x0 = np.array([cp.theta_c, cp.lambda_c])

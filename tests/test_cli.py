@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from glacier_dyn import (
     mu_thresholds,
     numeric_l1,
 )
+from glacier_dyn import cli
 from glacier_dyn.cli import build_parser, main
 
 from conftest import PARAMS_DIR
@@ -82,9 +84,11 @@ class TestScales:
     @pytest.mark.parametrize("overrides", [
         ("physical.tau0=1e-320",),  # H^2 underflows to 0
         ("physical.s=1e-200",),  # s^2 underflows to 0
+        ("physical.c=1e-320",),  # m*s*c underflows to 0
+        ("physical.m_rate=1e-320",),  # m*s*c underflows to 0
         ("physical.c=1e308", "physical.m_rate=1e300"),  # mu underflows to 0
         ("physical.tau0=1e300", "physical.rho_i=1e-300"),  # L*, t*, mu overflow
-    ], ids=["tiny-tau0", "tiny-s", "zero-mu", "infinite-scales"])
+    ], ids=["tiny-tau0", "tiny-s", "tiny-c", "tiny-m-rate", "zero-mu", "infinite-scales"])
     def test_bad_derived_scales_exit_2(self, capsys, command, overrides):
         argv = [command, "--params", TABLE1]
         if command == "simulate":
@@ -151,6 +155,15 @@ class TestAnalyze:
         assert code == 0
         rows = json.loads(out)
         assert isinstance(rows, list) and rows
+
+    def test_derivatives_are_the_nine_nullcline_fields(self, capsys):
+        # The critical point also carries alpha2 and gamma; they stay out of
+        # the JSON, which keeps the parameter-free derivative record.
+        code, out = run_cli(capsys, "analyze", "--params", HOPF)
+        assert code == 0
+        for row in json.loads(out):
+            assert list(row["derivatives"]) == ["f1", "f2", "f3", "g1", "g2",
+                                                "xi_c", "xi1", "xi2", "xi3"]
 
     def test_fig2_reports_three_rows_outer_stable(self, capsys):
         code, out = run_cli(capsys, "analyze", "--params", FIG2)
@@ -316,8 +329,8 @@ class TestSimulate:
 
 
 class TestSweep:
-    def test_single_flip_across_onset(self, capsys, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+    def test_single_flip_across_onset(self, capsys, hopf_cp):
+        th = mu_thresholds(hopf_cp)
         code, out = run_cli(capsys, "sweep", "--params", HOPF,
                             "--mu-min", f"{float(0.5 * th.mu0):.17g}",
                             "--mu-max", f"{float(1.5 * th.mu0):.17g}",
@@ -541,6 +554,56 @@ def test_nan_parameter_exits_2(capsys, command, key):
     code, out = run_cli(capsys, command, "--params", HOPF, "--set", f"{key}=NaN")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("params, key", [("hopf_demo.json", "model.accum.steepness"),
+                                         ("hopf_demo.json", "model.albedo.steepness"),
+                                         ("table1.json", "physical.albedo.steepness")])
+@pytest.mark.parametrize("value", ["1e-320", "1e-200", "1e200", "1e300"])
+def test_steepness_with_unusable_cube_exits_2(capsys, params, key, value):
+    # The third derivative divides by steepness**3, which under- or overflows.
+    code = main(["analyze", "--params", str(PARAMS_DIR / params), "--set", f"{key}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: steepness must be positive with a nonzero finite cube, got {float(value)}\n"
+
+
+def _numeric_keys(block: dict, prefix: str):
+    for key, value in block.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, f"{prefix}.{key}")
+        elif isinstance(value, (int, float)):
+            yield f"{prefix}.{key}"
+
+
+def test_extreme_parameter_values_exit_with_a_documented_code(capsys, monkeypatch):
+    # Every numeric parameter at values whose products under- or overflow,
+    # through each command that reads it: a typed error (exit 2), or a run.
+    # main runs over 400 times; the parser is built once for all of them.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))
+    # simulate starts at table1's cold node, which keeps its stiff runs short.
+    simulate = ["simulate", "--theta0", "1.09", "--lam0", "0.0227", "--t-end", "1"]
+    runs = [(HOPF, "model", [["analyze"], simulate + ["--mu", "3"]]),
+            (TABLE1, "physical", [["analyze"], simulate, ["scales"]])]
+    cases = [["verify", "--params", HOPF, "--set", "model.accum.limit_minus=1e-200"]]
+    for path, block, commands in runs:
+        with open(path, encoding="utf-8") as fh:
+            keys = list(_numeric_keys(json.load(fh)[block], block))
+        cases += [command + ["--params", path, "--set", f"{key}={value}"]
+                  for key in keys for value in ("1e-320", "1e-200", "1e200", "1e300", "-1e300")
+                  for command in commands]
+    assert len(cases) > 400
+    bad = []
+    for argv in cases:
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or (code == 2 and not err.startswith("error: ")):
+            bad.append(f"{argv[0]} --set {argv[-1]}: {code}")
+    assert not bad, "\n".join(bad)
 
 
 @pytest.mark.parametrize("params, key", [("hopf_demo.json", "model.beta"),

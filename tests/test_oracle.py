@@ -38,7 +38,7 @@ def test_fd_jacobian_matches_closed_form_at_equilibria(hopf_model):
     for cp in gd.find_equilibria(hopf_model):
         s = gd.State(cp.theta_c, cp.lambda_c)
         fd = fd_jacobian(hopf_model, 1.3, s)
-        exact = gd.jacobian(cp, 1.3, hopf_model.alpha2, hopf_model.gamma)
+        exact = gd.jacobian(cp, 1.3)
         scale = max(abs(exact.a11), abs(exact.a12), abs(exact.a21), abs(exact.a22))
         for name in ("a11", "a12", "a21", "a22"):
             assert abs(getattr(fd, name) - getattr(exact, name)) <= 1e-7 * scale
@@ -125,6 +125,8 @@ def test_numeric_l1_conditioning_error(hopf_model):
         xi1=1.0,
         xi2=0.0,
         xi3=0.0,
+        alpha2=hopf_model.alpha2,
+        gamma=hopf_model.gamma,
     )
     with pytest.raises(gd.ConditioningError):
         numeric_l1(hopf_model, cp)

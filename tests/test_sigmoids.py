@@ -142,6 +142,19 @@ def test_response_rejects_nonpositive_steepness():
         gd.SigmoidResponse(limit_minus=0.1, limit_plus=0.5, center=1.4, steepness=-1.0)
 
 
+@pytest.mark.parametrize("steepness", [1e-320, 1e-200, 1e-108, 1e103, 1e200, 1e300])
+def test_response_rejects_steepness_with_unusable_cube(steepness):
+    # response_eval divides by steepness**3, which under- or overflows here.
+    with pytest.raises(gd.ConfigError, match="steepness"):
+        gd.SigmoidResponse(limit_minus=0.1, limit_plus=0.5, center=1.4, steepness=steepness)
+
+
+@pytest.mark.parametrize("steepness", [1e-100, 1e100])
+def test_response_third_derivative_finite_at_extreme_steepness(steepness):
+    curve = gd.SigmoidResponse(limit_minus=0.1, limit_plus=0.5, center=1.4, steepness=steepness)
+    assert math.isfinite(response_eval(curve, 1.4 + steepness, 3))
+
+
 def test_response_from_dict_round_trip():
     curve = gd.SigmoidResponse(
         limit_minus=0.1,

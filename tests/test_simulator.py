@@ -53,6 +53,17 @@ class TestIntegrateValidation:
         with pytest.raises(DomainError, match="mu"):
             integrate(hopf_model, mu, State(1.3, 0.05), 1.0, model=kind)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("mu, override", [(3.0, {"beta": 1e200}),  # DOP853
+                                              (3.0, {"alpha1": -1e300}),
+                                              (1e150, {})])  # Radau
+    def test_overflowing_start_rates_raise_stiffness_error(self, hopf_model, kind, mu, override):
+        # Both first-step rules divide by the RMS of the scaled rates, which
+        # overflows here; integrate says so before the solver starts.
+        with pytest.raises(StiffnessError, match="first-step rule") as exc:
+            integrate(replace(hopf_model, **override), mu, State(1.43, 0.07), 1.0, model=kind)
+        assert exc.value.time == 0.0 and exc.value.state == (1.43, 0.07)
+
     @pytest.mark.parametrize("kwargs", [{"rel_tol": 1e-2}, {"rel_tol": 1e-15},
                                         {"abs_tol": 1e-2}, {"abs_tol": 1e-15}])
     def test_tolerances_outside_band_rejected(self, hopf_model, kwargs):
@@ -86,10 +97,9 @@ class TestIntegrateExamples:
 
     def test_stable_node_converges(self, table1_model):
         cold = find_equilibria(table1_model)[0]
-        th = mu_thresholds(cold, table1_model.alpha2, table1_model.gamma)
+        th = mu_thresholds(cold)
         mu = 0.5 * th.mu1
-        assert classify(cold, mu, table1_model.alpha2,
-                        table1_model.gamma) is Classification.STABLE_NODE
+        assert classify(cold, mu) is Classification.STABLE_NODE
         start = State(cold.theta_c * 1.01, cold.lambda_c * 1.01)
         traj = integrate(table1_model, mu, start, 200.0)
         radius = np.hypot(traj.thetas - cold.theta_c, traj.lams - cold.lambda_c)
@@ -233,7 +243,7 @@ def _both_routes(monkeypatch, params, start, t_end, mu=1.0, **kwargs):
 class TestExplicitKernel:
     @pytest.fixture(scope="class")
     def cycle_run(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         mu = 1.35 * th.mu0
         start = (hopf_cp.theta_c + 3e-4, hopf_cp.lambda_c - 2e-4)
         traj = integrate(hopf_model, mu, State(*start), 150.0)
@@ -309,7 +319,7 @@ class TestExplicitKernel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "solve_ivp", radau_only)
-        mu0 = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma).mu0
+        mu0 = mu_thresholds(hopf_cp).mu0
         rows = sweep_mu(hopf_model, [0.9 * mu0, 1.16 * mu0, 1.46 * mu0, 1.9 * mu0, 6.6],
                         cp=hopf_cp, detect_cycles=True)
         assert [row.period is not None for row in rows] == [False, True, True, True, False]
@@ -395,12 +405,12 @@ class TestPoincareCycle:
             poincare_cycle(hopf_model, -1.0, hopf_cp)
 
     def test_below_onset_returns_none(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         assert poincare_cycle(hopf_model, 0.9 * th.mu0, hopf_cp) is None
 
     def test_near_onset_period_matches_linear_frequency(self, hopf_model,
                                                         hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         cycle = poincare_cycle(hopf_model, (1 + 1e-3) * th.mu0, hopf_cp)
         assert cycle is not None
         linear_period = 2.0 * math.pi / th.omega0
@@ -414,7 +424,7 @@ class TestPoincareCycle:
 
 
     def test_window_cycle_attracts(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         cycle = poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp)
         assert cycle is not None
         assert 0.0 < cycle.multiplier < 1.0
@@ -428,7 +438,7 @@ class TestPoincareCycle:
         # Liouville: for a planar cycle the nontrivial multiplier is
         # exp(integral of div f over one period), here with a
         # finite-difference divergence of model.vector_field.
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         mu = 1.16 * th.mu0
         cycle = poincare_cycle(hopf_model, mu, hopf_cp)
 
@@ -451,7 +461,7 @@ class TestPoincareCycle:
     def test_matches_direct_integration(self, hopf_model, hopf_cp):
         # At 1.16 mu0 the multiplier is about 0.71, so 100 time units of
         # plain integration leave no visible transient.
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         mu = 1.16 * th.mu0
         cycle = poincare_cycle(hopf_model, mu, hopf_cp)
         period, amp_theta, amp_lam = direct_cycle(hopf_model, mu, hopf_cp)
@@ -466,12 +476,11 @@ class TestPoincareCycle:
             hopf_model,
             albedo=replace(hopf_model.albedo, steepness=0.03))
         cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
-        hopf = hopf_analysis(cp, params.alpha2, params.gamma)
+        hopf = hopf_analysis(cp)
         assert hopf.l1 == pytest.approx(107.0, rel=0.01)
         assert hopf.mu0 == pytest.approx(0.502, rel=1e-3)
         mu = 0.99 * hopf.mu0
-        assert classify(cp, mu, params.alpha2,
-                        params.gamma) is Classification.STABLE_FOCUS
+        assert classify(cp, mu) is Classification.STABLE_FOCUS
         cycle = poincare_cycle(params, mu, cp)
         assert cycle is not None
         assert cycle.multiplier > 1.0
@@ -479,8 +488,7 @@ class TestPoincareCycle:
 
     def test_saddle_has_no_cycle(self, hopf_model):
         saddle = find_equilibria(hopf_model)[1]
-        assert classify(saddle, 3.0, hopf_model.alpha2,
-                        hopf_model.gamma) is Classification.SADDLE
+        assert classify(saddle, 3.0) is Classification.SADDLE
         assert poincare_cycle(hopf_model, 3.0, saddle) is None
 
     def test_past_window_end_returns_none(self, hopf_model, hopf_cp):
@@ -489,7 +497,7 @@ class TestPoincareCycle:
         assert poincare_cycle(hopf_model, 6.6, hopf_cp) is None
 
     def test_max_time_caps_the_hunt(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         assert poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp,
                               max_time=2.0) is None
         with pytest.raises(ValueError, match="max_time"):
@@ -514,7 +522,7 @@ class TestPoincareCycle:
         if steepness is not None:
             params = replace(hopf_model, albedo=replace(hopf_model.albedo, steepness=steepness))
             cp = [p for p in find_equilibria(params) if p.g1 > p.f1 > 0][0]
-        mu = factor * hopf_analysis(cp, params.alpha2, params.gamma).mu0
+        mu = factor * hopf_analysis(cp).mu0
         ours = poincare_cycle(params, mu, cp)
         with monkeypatch.context() as m:
             m.setattr(simulator, "_dop853", _solve_ivp_kernel)
@@ -537,7 +545,7 @@ class TestPoincareCycle:
             return real(*args)
 
         monkeypatch.setattr(simulator, "_rates", counted)
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         cycle = poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp)
         stats = cycle.stats
         assert stats.method == "DOP853" and stats.njev == 0
@@ -555,7 +563,7 @@ class TestPoincareCycle:
     @pytest.mark.parametrize("start", [1e-3, 0.5, 1.0 - 1e-9])
     def test_bad_first_guess_falls_back_to_bracket(self, hopf_model, hopf_cp,
                                                    monkeypatch, start):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         mu = 1.16 * th.mu0
         ref = poincare_cycle(hopf_model, mu, hopf_cp)
         monkeypatch.setattr(simulator, "_normal_form_start",
@@ -569,7 +577,7 @@ class TestPoincareCycle:
 
 class TestAmplitudeCurve:
     def test_absent_below_onset_and_growing_above(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         mus = [0.9 * th.mu0, (1 + 1e-3) * th.mu0, (1 + 4e-3) * th.mu0]
         below, near, far = (poincare_cycle(hopf_model, mu, hopf_cp) for mu in mus)
         assert below is None
@@ -594,7 +602,7 @@ class TestSweepMu:
             sweep_mu(hopf_model, [math.nan, 3.0], detect_cycles=True)
 
     def test_classification_flips_across_thresholds(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         grid = [0.5 * th.mu1, 2.0 * th.mu1, 0.95 * th.mu0, 1.05 * th.mu0]
         rows = sweep_mu(hopf_model, grid, cp=hopf_cp)
         kinds = [row.kind for row in rows]
@@ -611,7 +619,7 @@ class TestSweepMu:
         assert [row.mu for row in rows] == [1.0, 2.0, 3.0]
 
     def test_detect_cycles_fills_cycle_columns(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         rows = sweep_mu(hopf_model, [1.002 * th.mu0], cp=hopf_cp,
                         detect_cycles=True)
         row = rows[0]
@@ -627,7 +635,7 @@ class TestSweepMu:
 
     def test_default_cp_prefers_oscillation_candidate(self, hopf_model,
                                                       hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         rows = sweep_mu(hopf_model, [1.05 * th.mu0])
         assert rows[0].kind is Classification.UNSTABLE_FOCUS
 
@@ -643,7 +651,7 @@ class TestSweepMu:
             assert poincare_cycle(params, row.mu, cp).multiplier > 1.0
 
     def test_supercritical_stable_focus_rows_have_no_cycle(self, hopf_model, hopf_cp):
-        th = mu_thresholds(hopf_cp, hopf_model.alpha2, hopf_model.gamma)
+        th = mu_thresholds(hopf_cp)
         rows = sweep_mu(hopf_model, [0.9 * th.mu0, 0.99 * th.mu0], cp=hopf_cp,
                         detect_cycles=True)
         for row in rows:
