@@ -1,7 +1,7 @@
 """Core model quantities: parameter records, response curves, scalings, the
 vector field with its Jacobian and regime rule, and nullclines, all as pure
 evaluations. This is the one place the dynamics are written; the simulator
-integrates the closures make_rhs and make_jacobian build here.
+integrates _rates with the Jacobian make_jacobian builds here.
 
 The planar system couples a dimensionless global temperature theta with a
 dimensionless ice-sheet extent lambda:
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -128,6 +129,15 @@ def _require_finite(record, names) -> None:
         value = getattr(record, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _require_normal(record, block: str) -> None:
+    """gamma and alpha2 divide f and its derivatives, which overflow where
+    either is subnormal."""
+    for name in ("gamma", "alpha2"):
+        value = getattr(record, name)
+        if 0 < value < sys.float_info.min:
+            raise ConfigError(f"{block}.{name} must not be subnormal, got {value}")
 
 
 def _number(value, where: str, key: str) -> float:
@@ -254,6 +264,7 @@ class PhysicalParams:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.alpha2 > 0:
             raise ConfigError(f"alpha2 must be positive, got {self.alpha2}")
+        _require_normal(self, "physical")
         if not self.s > 0:
             raise ConfigError(f"s must be positive, got {self.s}")
         if not self.A < 0:
@@ -284,6 +295,7 @@ class ModelParams:
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not self.alpha2 > 0:
             raise ConfigError(f"alpha2 must be positive, got {self.alpha2}")
+        _require_normal(self, "model")
         for name in ("albedo", "accum"):
             curve: SigmoidResponse = getattr(self, name)
             for lim in (curve.limit_minus, curve.limit_plus):
@@ -528,9 +540,10 @@ def vector_field(params: ModelParams, mu: float, s: State) -> tuple[float, float
 
 
 def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
-    """rhs(t, y) for scipy's solvers: the simplified field for regime None,
-    the full field held in one regime otherwise (regime_of gives the regime
-    at a state), clamped as in _rates."""
+    """rhs(t, y), the signature of scipy's solvers, which the tests run as a
+    second route: the simplified field for regime None, the full field held
+    in one regime otherwise (regime_of gives the regime at a state), clamped
+    as in _rates."""
 
     def rhs(t, y):
         # Plain floats: numpy scalar arithmetic costs several times more.
@@ -541,7 +554,8 @@ def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
 
 def make_jacobian(params: ModelParams, mu: float):
     """jac(t, y): the analytic Jacobian ((a, b), (c, d)) of the simplified
-    field at any state, for variational equations and Radau (via np.asarray)."""
+    field at any state, for variational equations and Radau (scipy's takes
+    it through np.asarray)."""
     gm = params.gamma
     dtheta_dlam = -mu * gm * params.alpha2
 

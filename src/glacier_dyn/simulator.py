@@ -9,9 +9,10 @@ steps of a 5(4) pair on hopf_demo, for about the same number of RHS calls
 runs in _dop853, a loop on Python floats with scipy's DOP853 tableau and
 step controller that calls model._rates directly: scipy's solve_ivp spends
 most of its time on per-step array bookkeeping for a 2-vector. Above
-STIFF_MU it uses scipy's implicit Radau IIA method of order 5, on
-model.make_rhs with the analytic model.make_jacobian for the simplified
-model and finite differences for the full one. Either way events are
+STIFF_MU it uses the implicit Radau IIA method of order 5 (Solving ODEs II,
+IV.8), scipy's decision for decision in the same way on two floats
+(_solvers.radau), with the analytic model.make_jacobian for the simplified
+model and forward differences for the full one. Either way events are
 located on dense output. The full model is integrated piecewise: within a
 segment the mass-balance regime is fixed, and each regime arms only the
 events for boundaries it can actually leave through, so a restart exactly
@@ -43,7 +44,6 @@ from .model import (
     _snow_line,
     bisect,
     make_jacobian,
-    make_rhs,
     nullcline_f,
     nullcline_g,
     regime_of,
@@ -69,7 +69,8 @@ _NEWTON_LAPS = 12
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on call: commands that integrate nothing skip scipy."""
+    """scipy.integrate.solve_ivp, imported on call. The package's own steppers
+    no longer call it; it stays for callers that use or patch it by name."""
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
@@ -88,14 +89,14 @@ class Termination(enum.Enum):
 @dataclass
 class SolverStats:
     """What a solver did, summed over integrate's segments or a cycle hunt's
-    laps: RHS and Jacobian evaluations, accepted steps, rejected steps (None
-    for Radau, whose scipy result does not report them) and events located."""
+    laps: RHS and Jacobian evaluations, accepted steps, rejected steps (for
+    Radau also those whose Newton iteration failed) and events located."""
 
     method: str
     nfev: int = 0
     njev: int = 0
     steps: int = 0
-    rejected: int | None = 0
+    rejected: int = 0
     events: int = 0
 
 
@@ -194,16 +195,6 @@ _EPS = math.ulp(1.0)
 
 
 @cache
-def _dop853_tableau() -> tuple:
-    """scipy's DOP853 coefficients as Python floats, read on first use: row s
-    of A (row 12 is B), E3, E5 and the dense-output matrix D."""
-    from scipy.integrate._ivp import dop853_coefficients as c
-
-    rows = [tuple(c.A[s, :s].tolist()) for s in range(c.N_STAGES_EXTENDED)]
-    return rows, c.E3.tolist(), c.E5.tolist(), [tuple(d) for d in c.D.tolist()]
-
-
-@cache
 def _dop853_stages(n: int):
     """stages(rates, rows, h, y, ks, first, stop): stages first..stop-1 of a
     step of size h from y, with component i's rates at stage s put in
@@ -237,7 +228,8 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
     per component of y, index of the terminal event or None, the
     non-terminal events located as (event index, root, state)).
     """
-    rows, e3, e5, dense = _dop853_tableau()
+    from ._solvers import DOP853_A as rows, DOP853_D as dense, DOP853_E3 as e3, DOP853_E5 as e5
+
     n, stages = len(y0), _dop853_stages(len(y0))
     rtol, t, y = max(rtol, 100 * _EPS), t0, list(y0)
     f = rates(*y)
@@ -331,9 +323,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the initial state up to tau = t_end.
 
-    The method follows mu: the in-package DOP853 loop up to STIFF_MU, scipy's
-    Radau above it (see the module docstring); stats counts what the solver
-    did. Both models run one segment loop. The simplified
+    The method follows mu: the in-package DOP853 loop up to STIFF_MU, the
+    in-package Radau loop above it (see the module docstring); stats counts
+    what the solver did. Both models run one segment loop. The simplified
     model (regime None) has no boundaries, so it runs in one segment; the
     full model restarts at every located regime-boundary crossing, nudging
     the state one tiny Euler step into the new regime so the next segment
@@ -351,9 +343,12 @@ def integrate(
         raise DomainError(f"mu must be finite and positive, got {mu}")
     full = model is ModelKind.FULL
     stiff = mu > STIFF_MU
-    # Radau differences the full model's Jacobian; the simplified one is analytic.
-    extra = {"jac": make_jacobian(params, mu)} if stiff and not full else {}
-    stats = SolverStats("Radau", rejected=None) if stiff else SolverStats("DOP853")
+    if stiff:
+        from ._solvers import radau
+
+        # Radau differences the full model's Jacobian; the simplified one is analytic.
+        jac = None if full else make_jacobian(params, mu)
+    stats = SolverStats("Radau" if stiff else "DOP853")
 
     # One solver segment per regime.
     t0 = 0.0
@@ -372,19 +367,10 @@ def integrate(
             raise StiffnessError(f"rates {rates} at (theta, lambda) = {y0} overflow the "
                                  "first-step rule", time=t0, state=y0)
         if stiff:
-            sol = solve_ivp(
-                make_rhs(params, mu, regime), (t0, t_end), y0, method="Radau",
-                rtol=rel_tol, atol=abs_tol, events=events, **extra,
+            ts, ths, las, fired = radau(
+                lambda th, la, regime=regime: _rates(params, mu, th, la, regime),
+                jac, t0, y0, t_end, rel_tol, abs_tol, events, stats,
             )
-            ts, ths, las = sol.t, sol.y[0], sol.y[1]
-            if sol.status == -1:
-                raise StiffnessError(sol.message, time=float(ts[-1]),
-                                     state=(float(ths[-1]), float(las[-1])))
-            fired = next((i for i, te in enumerate(sol.t_events) if len(te)), None)
-            stats.nfev += sol.nfev
-            stats.njev += sol.njev
-            stats.steps += len(ts) - 1
-            stats.events += fired is not None
         else:
             ts, ths, las, fired, _ = _dop853(
                 lambda th, la, regime=regime: _rates(params, mu, th, la, regime),

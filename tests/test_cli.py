@@ -236,7 +236,8 @@ class TestSimulate:
         assert code == 2
 
     def test_table1_stiff_run_writes_few_rows(self, capsys):
-        # Physical mu ~ 1.8e5 takes the Radau path; RK45 wrote ~1e5 rows here.
+        # Physical mu ~ 1.8e5 takes the Radau path; the explicit path would take
+        # about 1e5 steps here, capped by stability rather than accuracy.
         code, out = run_cli(capsys, "simulate", "--params", TABLE1,
                             "--theta0", "1.1", "--lam0", "0.02",
                             "--t-end", "2")
@@ -606,6 +607,38 @@ def test_extreme_parameter_values_exit_with_a_documented_code(capsys, monkeypatc
     assert not bad, "\n".join(bad)
 
 
+@pytest.mark.parametrize("params, block", [("hopf_demo.json", "model"), ("table1.json", "physical")])
+@pytest.mark.parametrize("key", ["alpha2", "gamma"])
+def test_subnormal_divisor_exits_2_naming_its_key(capsys, params, block, key):
+    # f, f' and the thresholds divide by gamma and alpha2 and overflow.
+    code = main(["analyze", "--params", str(PARAMS_DIR / params), "--set", f"{block}.{key}=1e-320"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {block}.{key} must not be subnormal, got 1e-320\n"
+
+
+def test_extreme_parameter_values_print_no_nan_or_infinity(capsys, monkeypatch):
+    # JSON has no NaN or Infinity: a run that exits 0 must print neither.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))
+    commands = [["analyze"], ["verify"], ["sweep", "--mu-min", "0.5", "--mu-max", "5",
+                                          "--mu-steps", "3", "--format", "json"]]
+    bad, exits = [], 0
+    for path, block in ((HOPF, "model"), (TABLE1, "physical")):
+        with open(path, encoding="utf-8") as fh:
+            keys = list(_numeric_keys(json.load(fh)[block], block))
+        for key in keys:
+            for value in ("1e-320", "1e-200", "1e200", "1e300", "-1e300"):
+                for command in commands:
+                    argv = command + ["--params", path, "--set", f"{key}={value}"]
+                    code, out = run_cli(capsys, *argv)
+                    exits += code == 0
+                    if code == 0 and re.search(r"NaN|Infinity", out):
+                        bad.append(f"{argv[0]} --set {argv[-1]}")
+    assert exits > 100
+    assert not bad, "\n".join(bad)
+
+
 @pytest.mark.parametrize("params, key", [("hopf_demo.json", "model.beta"),
                                          ("hopf_demo.json", "model.accum.steepness"),
                                          ("table1.json", "physical.gamma")])
@@ -662,6 +695,31 @@ for params in {[TABLE1, FIG2, HOPF]!r}:
     for argv in (["analyze"], ["verify", "--seed", "0"],
                  ["sweep", "--mu-min", "0.5", "--mu-max", "5", "--mu-steps", "9"]):
         assert main(argv + ["--params", params, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_integrating_commands_load_no_scipy(tmp_path):
+    # Both steppers and their constants are in the package: a stiff simulate
+    # on table1, a non-stiff one on hopf_demo and a cycle hunt import no scipy.
+    script = f"""
+import sys
+from glacier_dyn.cli import main
+out = {str(tmp_path / "out")!r}
+runs = [
+    ["simulate", "--params", {TABLE1!r}, "--theta0", "1.1", "--lam0", "0.02",
+     "--t-end", "0.25", "--dimensional"],
+    ["simulate", "--params", {HOPF!r}, "--mu", "3.4", "--theta0", "1.432",
+     "--lam0", "0.0742", "--t-end", "150"],
+    ["sweep", "--params", {HOPF!r}, "--mu-min", "3.0", "--mu-max", "3.8",
+     "--mu-steps", "2", "--cycles"],
+]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

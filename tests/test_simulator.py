@@ -23,7 +23,7 @@ from glacier_dyn import (
     sweep_mu,
     vector_field,
 )
-from glacier_dyn import simulator
+from glacier_dyn import _solvers, simulator
 from glacier_dyn.errors import DomainError, StiffnessError
 from glacier_dyn.model import lambda0, make_jacobian, make_rhs, regime_of
 from glacier_dyn.oracle import direct_cycle, fd_jacobian
@@ -310,34 +310,42 @@ class TestExplicitKernel:
         assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
 
     def test_only_radau_goes_through_solve_ivp(self, hopf_model, hopf_cp, monkeypatch):
-        # One explicit stepper: integrate's DOP853 and the shooting laps both
-        # run on _dop853, so solve_ivp sees only the stiff path.
-        real = simulator.solve_ivp
+        # Nothing does now: integrate's DOP853 and Radau and the shooting laps
+        # all run on in-package steppers. The forwarder stays for callers.
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"solve_ivp({kwargs.get('method')!r})")
 
-        def radau_only(*args, **kwargs):
-            assert kwargs.get("method") == "Radau", f"solve_ivp({kwargs.get('method')!r})"
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, "solve_ivp", radau_only)
+        monkeypatch.setattr(simulator, "solve_ivp", refuse)
         mu0 = mu_thresholds(hopf_cp).mu0
         rows = sweep_mu(hopf_model, [0.9 * mu0, 1.16 * mu0, 1.46 * mu0, 1.9 * mu0, 6.6],
                         cp=hopf_cp, detect_cycles=True)
         assert [row.period is not None for row in rows] == [False, True, True, True, False]
         for kind in ModelKind:
-            traj = integrate(hopf_model, 3.0, State(1.40, 0.05), 5.0, model=kind)
-            assert traj.stats.method == "DOP853"
+            for mu, method in ((3.0, "DOP853"), (300.0, "Radau")):
+                traj = integrate(hopf_model, mu, State(1.40, 0.05), 5.0, model=kind)
+                assert traj.stats.method == method
 
     def test_radau_path_reports_stats(self, hopf_model):
         traj = integrate(hopf_model, 300.0, State(1.40, 0.05), 1.0)
         assert traj.stats.method == "Radau"
-        assert traj.stats.rejected is None
         assert traj.stats.steps == len(traj.times) - 1
         assert traj.stats.nfev > 0 and traj.stats.njev > 0
+        # Every attempt, accepted or rejected, takes at least one Newton
+        # iteration (3 RHS calls); an accepted step adds the rates at its end.
+        stats = traj.stats
+        assert stats.nfev >= 2 + 3 * (stats.steps + stats.rejected) + stats.steps
 
 
 # ---------------------------------------------------------------------------
 # integrate: the stiff (Radau) path above STIFF_MU
 # ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    """Nested floats as their hex forms, so that == compares bits (and -0.0)."""
+    if isinstance(values, (list, tuple)):
+        return [_bits(v) for v in values]
+    return float(values).hex()
 
 
 def _switches(traj):
@@ -359,6 +367,84 @@ class TestStiffPath:
             want = np.array([[fd.a11, fd.a12], [fd.a21, fd.a22]])
             np.testing.assert_allclose(got, want, rtol=1e-6,
                                        atol=1e-8 * max(mu, 1.0))
+
+    def test_radau_constants_match_scipy_bit_for_bit(self):
+        from scipy.integrate._ivp import radau
+
+        for name in ("C", "E", "T", "TI", "P"):
+            assert _bits(getattr(_solvers, name)) == _bits(getattr(radau, name).tolist()), name
+        assert _bits([_solvers.MU_REAL]) == _bits([radau.MU_REAL])
+        ours, theirs = _solvers.MU_COMPLEX, complex(radau.MU_COMPLEX)
+        assert _bits([ours.real, ours.imag]) == _bits([theirs.real, theirs.imag])
+        assert _solvers.NEWTON_MAXITER == radau.NEWTON_MAXITER
+        assert (_solvers.MIN_FACTOR, _solvers.MAX_FACTOR) == (radau.MIN_FACTOR, radau.MAX_FACTOR)
+
+    def test_dop853_constants_match_scipy_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as c
+
+        rows = [c.A[s, :s].tolist() for s in range(c.N_STAGES_EXTENDED)]
+        assert _bits(_solvers.DOP853_A) == _bits(rows)
+        assert _bits(_solvers.DOP853_A[12]) == _bits(c.B.tolist())
+        assert _bits(_solvers.DOP853_E3) == _bits(c.E3.tolist())
+        assert _bits(_solvers.DOP853_E5) == _bits(c.E5.tolist())
+        assert _bits(_solvers.DOP853_D) == _bits(c.D.tolist())
+
+    @pytest.mark.parametrize("case", ["table1-seed11-0", "table1-seed11-1", "hopf-mu300"])
+    def test_radau_rows_and_counts_match_scipy(self, table1_model, table1_scales,
+                                               hopf_model, case):
+        # The second route: scipy's Radau with the same analytic Jacobian.
+        # Both take the same steps; the two start rounding differently (numpy
+        # norms use fused multiply-adds), so the rows are compared on scipy's
+        # dense output at our times. Starts: stiff-table1's seed-11 draws.
+        params, mu, start, t_end = {
+            "table1-seed11-0": (table1_model, table1_scales.mu,
+                                (1.432268524942321, 0.17281806683690987), 0.25),
+            "table1-seed11-1": (table1_model, table1_scales.mu,
+                                (0.950736146122533, 0.1058300765846871), 0.25),
+            "hopf-mu300": (hopf_model, 300.0, (1.40, 0.05), 10.0),
+        }[case]
+        traj = integrate(params, mu, State(*start), t_end)
+        sol = solve_ivp(make_rhs(params, mu), (0.0, t_end), start, method="Radau",
+                        rtol=1e-9, atol=1e-11, jac=make_jacobian(params, mu),
+                        dense_output=True)
+        assert sol.status == 0
+        ref = sol.sol(traj.times)
+        err = np.maximum(np.abs(traj.thetas - ref[0]), np.abs(traj.lams - ref[1]))
+        assert float(err.max()) <= 1e-10
+        assert traj.times[-1] == sol.t[-1] == t_end
+        # Decision for decision scipy's, so the counts are equal, not only
+        # within the 2% that a flipped rounding could cost. The second
+        # table1 start has two rejections that take the error estimate's
+        # second solve, whose RHS call nfev counts.
+        counts = (traj.stats.steps, traj.stats.nfev, traj.stats.njev)
+        assert counts == (len(sol.t) - 1, sol.nfev, sol.njev)
+
+    def test_radau_step_floor_raises_at_scipy_time(self):
+        # theta' = theta^2 from theta = 1 blows up at t = 1: the step falls
+        # below 10 ulp of t, where solve_ivp returns status -1.
+        def rates(theta, lam):
+            return theta * theta, 0.0
+
+        def jac(t, y):
+            return (2.0 * y[0], 0.0), (0.0, 0.0)
+
+        sol = solve_ivp(lambda t, y: rates(*y), (0.0, 2.0), (1.0, 0.0), method="Radau",
+                        rtol=1e-9, atol=1e-11, jac=jac)
+        assert sol.status == -1
+        with pytest.raises(StiffnessError, match="less than spacing") as exc:
+            _solvers.radau(rates, jac, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
+                           simulator.SolverStats("Radau"))
+        assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
+
+    def test_unusable_iteration_matrix_rejects_steps(self):
+        # A NaN Jacobian fails every Newton iteration, so every step is
+        # halved down to the floor: a typed error, not a float exception.
+        stats = simulator.SolverStats("Radau")
+        with pytest.raises(StiffnessError, match="less than spacing"):
+            _solvers.radau(lambda th, la: (-th, -la), lambda t, y: ((math.nan,) * 2,) * 2,
+                           0.0, (1.0, 0.5), 1.0, 1e-9, 1e-11, [], stats)
+        assert stats.steps == 0 and stats.rejected > 0
+        assert _solvers._factor(1.0, ((1.0, 0.0), (0.0, 0.5))) is None
 
     @pytest.mark.parametrize("kind, eps, start, t_end", [
         (ModelKind.SIMPLIFIED, None, (1.40, 0.05), 10.0),
