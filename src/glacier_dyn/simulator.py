@@ -10,7 +10,7 @@ runs in _dop853, a loop on Python floats with scipy's DOP853 tableau and
 step controller that calls model._rates directly: scipy's solve_ivp spends
 most of its time on per-step array bookkeeping for a 2-vector. Above
 STIFF_MU it uses the implicit Radau IIA method of order 5 (Solving ODEs II,
-IV.8), scipy's decision for decision in the same way on two floats
+IV.8), scipy's Radau ported decision for decision onto two floats
 (_solvers.radau), with the analytic model.make_jacobian for the simplified
 model and forward differences for the full one. Either way events are
 located on dense output. The full model is integrated piecewise: within a
