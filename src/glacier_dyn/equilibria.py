@@ -150,14 +150,17 @@ def find_equilibria(
         nullcline_g(params, grid, 0)
     )
 
-    prod = h[:-1] * h[1:]
+    # Signs, not products of neighbours: a product can overflow, or underflow
+    # to 0 and hide a sign change.
+    neg, pos = h < 0.0, h > 0.0
     roots = [float(grid[i]) for i in np.flatnonzero(h == 0.0)]
-    roots += [_refine_bisect(params, grid[i], grid[i + 1]) for i in np.flatnonzero(prod < 0)]
+    changes = neg[:-1] & pos[1:] | pos[:-1] & neg[1:]
+    roots += [_refine_bisect(params, grid[i], grid[i + 1]) for i in np.flatnonzero(changes)]
 
     # Tangency scan: each run of >= 3 quiet cells (|h| small at both ends, no
     # zero and no sign change) yields one warning and one reported point.
     small = np.abs(h) < TANGENCY_TOL
-    quiet = small[:-1] & small[1:] & (prod > 0)
+    quiet = small[:-1] & small[1:] & (pos[:-1] & pos[1:] | neg[:-1] & neg[1:])
     edges = np.diff(np.concatenate(([0], quiet.astype(np.int8), [0])))
     for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         if j - i < 3:

@@ -1,7 +1,8 @@
 """Core model quantities: parameter records, response curves, scalings, the
 vector field with its Jacobian and regime rule, and nullclines, all as pure
 evaluations. This is the one place the dynamics are written; the simulator
-integrates _rates with the Jacobian make_jacobian builds here.
+integrates the rates make_rates builds, with the Jacobian make_jacobian builds
+here.
 
 The planar system couples a dimensionless global temperature theta with a
 dimensionless ice-sheet extent lambda:
@@ -460,24 +461,13 @@ def regime_of(params: ModelParams, lam: float) -> Regime:
 # on its Enum class costs about 0.1 us per comparison.
 _TANH, _LOGISTIC, _ERF = SigmoidFamily.TANH, SigmoidFamily.LOGISTIC, SigmoidFamily.ERF
 _STAGNANT, _NUCLEATION = Regime.STAGNANT, Regime.NUCLEATION
-
-
-def _response(curve: SigmoidResponse, theta: float) -> float:
-    """response_eval(curve, theta, 0) for a float theta, bit for bit, in one
-    call. The vector field evaluates two curves per call, and the dispatch
-    through response_eval and sigmoid_eval cost more than the arithmetic."""
-    z = (theta - curve.center) / curve.steepness
-    family = curve.family
-    if family is _TANH:
-        sigma = math.tanh(z)
-    elif family is _LOGISTIC:
-        sigma = math.tanh(z / 2.0)
-    elif family is _ERF:
-        sigma = math.erf(z)
-    else:
-        sigma = min(max(z, -1.0), 1.0)
-    half_span = 0.5 * (curve.limit_plus - curve.limit_minus)
-    return 0.5 * (curve.limit_plus + curve.limit_minus) + half_span * sigma
+# sigmoid_eval(family, x, 0) for a float x, bit for bit, as one call.
+_SIGMA = {
+    _TANH: math.tanh,
+    _LOGISTIC: lambda z: math.tanh(z / 2.0),
+    _ERF: math.erf,
+    SigmoidFamily.PIECEWISE_LINEAR: lambda z: min(max(z, -1.0), 1.0),
+}
 
 
 def _response_slope(curve: SigmoidResponse, theta: float) -> tuple[float, float]:
@@ -508,46 +498,56 @@ def _response_slope(curve: SigmoidResponse, theta: float) -> tuple[float, float]
     )
 
 
-def _rates(params: ModelParams, mu: float, theta: float, lam: float, regime: Regime | None):
-    """(dtheta/dtau, dlambda/dtau), unchecked: the simplified ice equation for
-    regime None, the full one in the given regime otherwise. Solver trial
-    steps may leave the domain, so the ice equation clamps lambda at 0 in the
-    simplified model and at LAMBDA_FLOOR in the full one."""
-    dtheta = mu * (
-        1.0
-        + params.beta
-        - params.gamma * (params.alpha1 + params.alpha2 * lam)
-        - (1.0 - params.gamma) * _response(params.albedo, theta)
-        - theta
+def make_rates(params: ModelParams, mu: float, regime: Regime | None = None):
+    """rates(theta, lam) -> (dtheta/dtau, dlambda/dtau) on floats, unchecked:
+    the simplified ice equation for regime None, the full one in the given
+    regime otherwise. Solver trial steps may leave the domain, so the ice
+    equation clamps lambda at 0 in the simplified model and at LAMBDA_FLOOR
+    in the full one; dtheta/dtau takes lambda unclamped.
+
+    This is the one definition of the field. Every parameter is read here,
+    once, so a call costs only its arithmetic; each response is
+    response_eval(curve, theta, 0), bit for bit."""
+    (sa, ca, wa, ma, ha), (sx, cx, wx, mx, hx) = (
+        (_SIGMA[c.family], c.center, c.steepness, 0.5 * (c.limit_plus + c.limit_minus),
+         0.5 * (c.limit_plus - c.limit_minus))
+        for c in (params.albedo, params.accum)
     )
-    if regime is None:
-        xi = _response(params.accum, theta)
-        return dtheta, math.sqrt(max(lam, 0.0)) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
-    lam = max(lam, LAMBDA_FLOOR)
-    if regime is _STAGNANT:
-        return dtheta, -math.sqrt(lam)
-    xi = _response(params.accum, theta)
-    if regime is _NUCLEATION:
-        return dtheta, -(xi / (2.0 * math.sqrt(lam))) * params.epsilon
-    return dtheta, math.sqrt(lam) * ((1.0 + xi) * _snow_line(lam, params.epsilon)[0] - 1.0)
+    b1, gm, g1 = 1.0 + params.beta, params.gamma, 1.0 - params.gamma
+    a1, a2, eps, sqrt = params.alpha1, params.alpha2, params.epsilon, math.sqrt
+
+    # The clamps pick as max(lam, bound) does, without its call.
+    def rates(theta, lam):
+        dtheta = mu * (b1 - gm * (a1 + a2 * lam) - g1 * (ma + ha * sa((theta - ca) / wa)) - theta)
+        xi = mx + hx * sx((theta - cx) / wx)
+        if regime is None:
+            return dtheta, sqrt(0.0 if lam < 0.0 else lam) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
+        lam = LAMBDA_FLOOR if lam < LAMBDA_FLOOR else lam
+        if regime is _STAGNANT:
+            return dtheta, -sqrt(lam)
+        if regime is _NUCLEATION:
+            return dtheta, -(xi / (2.0 * sqrt(lam))) * eps
+        return dtheta, sqrt(lam) * ((1.0 + xi) * _snow_line(lam, eps)[0] - 1.0)
+
+    return rates
 
 
 def vector_field(params: ModelParams, mu: float, s: State) -> tuple[float, float]:
     """Right-hand side (dtheta/dtau, dlambda/dtau) of the simplified system."""
     if not s.lam > 0:
         raise DomainError(f"lambda must be positive, got {s.lam}")
-    return _rates(params, mu, s.theta, s.lam, None)
+    return make_rates(params, mu)(s.theta, s.lam)
 
 
 def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
     """rhs(t, y), the signature of scipy's solvers, which the tests run as a
-    second route: the simplified field for regime None, the full field held
-    in one regime otherwise (regime_of gives the regime at a state), clamped
-    as in _rates."""
+    second route: make_rates' field for the regime (regime_of gives the
+    regime at a state)."""
+    rates = make_rates(params, mu, regime)
 
     def rhs(t, y):
         # Plain floats: numpy scalar arithmetic costs several times more.
-        return _rates(params, mu, float(y[0]), float(y[1]), regime)
+        return rates(float(y[0]), float(y[1]))
 
     return rhs
 

@@ -7,12 +7,14 @@ order 8(5,3); at the default tolerance of 1e-9 it takes less than half the
 steps of a 5(4) pair on hopf_demo, for about the same number of RHS calls
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.6 and II.10). That pair
 runs in _dop853, a loop on Python floats with scipy's DOP853 tableau and
-step controller that calls model._rates directly: scipy's solve_ivp spends
-most of its time on per-step array bookkeeping for a 2-vector. Above
-STIFF_MU it uses the implicit Radau IIA method of order 5 (Solving ODEs II,
-IV.8), scipy's Radau ported decision for decision onto two floats
-(_solvers.radau), with the analytic model.make_jacobian for the simplified
-model and forward differences for the full one. Either way events are
+step controller: scipy's solve_ivp spends most of its time on per-step
+array bookkeeping for a 2-vector. A step is one compiled function with the
+tableau as literals, and it calls the rates closure that model.make_rates
+builds once per segment. Above STIFF_MU it uses the implicit Radau IIA
+method of order 5 (Solving ODEs II, IV.8), scipy's Radau ported decision
+for decision onto two floats (_solvers.radau), with the analytic
+model.make_jacobian for the simplified model and forward differences for
+the full one. Either way events are
 located on dense output. The full model is integrated piecewise: within a
 segment the mass-balance regime is fixed, and each regime arms only the
 events for boundaries it can actually leave through, so a restart exactly
@@ -40,10 +42,10 @@ from .model import (
     ModelParams,
     Regime,
     State,
-    _rates,
     _snow_line,
     bisect,
     make_jacobian,
+    make_rates,
     nullcline_f,
     nullcline_g,
     regime_of,
@@ -196,24 +198,46 @@ _EPS = math.ulp(1.0)
 
 @cache
 def _dop853_stages(n: int):
-    """stages(rates, rows, h, y, ks, first, stop): stages first..stop-1 of a
-    step of size h from y, with component i's rates at stage s put in
-    ks[i][s]; returns the last stage's state. The loop over the n components
-    is written out and compiled, as dataclasses compiles __init__: as a
-    Python loop it made integrate a third slower."""
-    ys, ks, zs = ([f"{c}{i}" for i in range(n)] for c in "ykz")
+    """(step, dense) for a state of n components, compiled with DOP853's
+    tableau written out as literals, as dataclasses compiles __init__.
+
+    step(rates, h, y, f) takes stages 1-12 of a step of size h from y, where
+    f = rates(*y), and returns (new state, E5 sums, E3 sums, each component's
+    rates at stages 0-12). dense(rates, h, y, ks) extends those rates with
+    stages 13-15 of the same step. Every sum keeps all its terms, zeros
+    included, and adds them left to right from 0, as sum(map(mul, a, k))
+    does up to Python 3.11, so each number keeps its bits, also where a
+    stage is not finite.
+    """
+    from ._solvers import DOP853_A as rows, DOP853_E3 as e3, DOP853_E5 as e5
+
     seq = ", ".join
-    src = f"""def stages(rates, rows, h, y, ks, first, stop):
-    ({seq(ys)},), ({seq(ks)},) = y, ks
-    for s in range(first, stop):
-        a = rows[s]
-        {seq(zs)}, = {seq(f"{v} + sum(map(mul, a, {k})) * h" for v, k in zip(ys, ks))},
-        {seq(f"{k}[s]" for k in ks)}, = rates({seq(zs)})
-    return [{seq(zs)}]
+    ys, zs = (seq(f"{c}{i}" for i in range(n)) for c in "yz")
+
+    def dot(coefs, i):  # sum(map(mul, coefs, k_i)), term by term from 0
+        return "(0.0" + "".join(f" + {c!r} * k{i}_{s}" for s, c in enumerate(coefs)) + ")"
+
+    def stages(first, stop):
+        return "".join(f"""
+    {zs}, = {seq(f"y{i} + {dot(rows[s], i)} * h" for i in range(n))},
+    {seq(f"k{i}_{s}" for i in range(n))}, = rates({zs})""" for s in range(first, stop))
+
+    def ks(stop):
+        return seq(f"({seq(f'k{i}_{s}' for s in range(stop))},)" for i in range(n))
+
+    src = f"""def step(rates, h, y, f):
+    ({ys},), ({seq(f"k{i}_0" for i in range(n))},) = y, f{stages(1, 13)}
+    return ({zs},), ({seq(dot(e5, i) for i in range(n))},), \\
+        ({seq(dot(e3, i) for i in range(n))},), ({ks(13)},)
+
+
+def dense(rates, h, y, ks):
+    ({ys},), ({ks(13)},) = y, ks{stages(13, 16)}
+    return ({ks(16)},)
 """
-    namespace = {"mul": mul}
+    namespace = {}
     exec(src, namespace)
-    return namespace["stages"]
+    return namespace["step"], namespace["dense"]
 
 
 def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
@@ -228,12 +252,11 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
     per component of y, index of the terminal event or None, the
     non-terminal events located as (event index, root, state)).
     """
-    from ._solvers import DOP853_A as rows, DOP853_D as dense, DOP853_E3 as e3, DOP853_E5 as e5
+    from ._solvers import DOP853_D as dense
 
-    n, stages = len(y0), _dop853_stages(len(y0))
+    n, (step, dense_stages) = len(y0), _dop853_stages(len(y0))
     rtol, t, y = max(rtol, 100 * _EPS), t0, list(y0)
     f = rates(*y)
-    ks = [[v] * 16 for v in f]  # column 12 holds the rates at the current state
     # select_initial_step for an error estimator of order 7.
     scale = [atol + abs(v) * rtol for v in y]
 
@@ -250,8 +273,6 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
     gs = [ev(t, y) for ev in events]
     out, hits = [(t, *y)], []
     while t < t_end:
-        for k in ks:
-            k[0] = k[12]
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
@@ -260,12 +281,12 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
                                      time=t, state=tuple(y[:2]))
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            ys = stages(rates, rows, h, y, ks, 1, 13)  # stage 12 is the new state
+            ys, s5, s3, ks = step(rates, h, y, f)
             stats.nfev += 12
             n5 = n3 = 0.0
-            for v, w, k in zip(y, ys, ks):
+            for v, w, a, b in zip(y, ys, s5, s3):
                 scale = atol + max(abs(v), abs(w)) * rtol
-                q5, q3 = sum(map(mul, e5, k)) / scale, sum(map(mul, e3, k)) / scale
+                q5, q3 = a / scale, b / scale
                 n5, n3 = n5 + q5 * q5, n3 + q3 * q3
             err = h * n5 / math.sqrt((n5 + 0.01 * n3) * n) if n5 or n3 else 0.0
             if err < 1:
@@ -275,14 +296,14 @@ def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
             h_abs = h * max(0.2, 0.9 * err**-0.125)
             rejected = True
             stats.rejected += 1
-        t_old, y_old, t, y = t, y, t_new, ys
+        t_old, y_old, t, y, f = t, y, t_new, ys, [k[12] for k in ks]
         stats.steps += 1
         new_gs = [ev(t, y) for ev in events]
         located = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
                    if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
         gs = new_gs
         if located:
-            stages(rates, rows, h, y_old, ks, 13, 16)
+            ks = dense_stages(rates, h, y_old, ks)
             stats.nfev += 3
             ps = []
             for v_old, v, k in zip(y_old, y, ks):
@@ -361,21 +382,16 @@ def integrate(
         events, targets = _segment_events(params, regime)
         # Both first-step rules take the RMS of rate/(abs_tol + |y|*rel_tol)
         # and fail, with no typed error, where it overflows.
-        rates = _rates(params, mu, *y0, regime)
-        scaled = [r / (abs_tol + abs(v) * rel_tol) for r, v in zip(rates, y0)]
+        rates = make_rates(params, mu, regime)
+        f0 = rates(*y0)
+        scaled = [r / (abs_tol + abs(v) * rel_tol) for r, v in zip(f0, y0)]
         if not math.isfinite(sum([q * q for q in scaled])):
-            raise StiffnessError(f"rates {rates} at (theta, lambda) = {y0} overflow the "
+            raise StiffnessError(f"rates {f0} at (theta, lambda) = {y0} overflow the "
                                  "first-step rule", time=t0, state=y0)
         if stiff:
-            ts, ths, las, fired = radau(
-                lambda th, la, regime=regime: _rates(params, mu, th, la, regime),
-                jac, t0, y0, t_end, rel_tol, abs_tol, events, stats,
-            )
+            ts, ths, las, fired = radau(rates, jac, t0, y0, t_end, rel_tol, abs_tol, events, stats)
         else:
-            ts, ths, las, fired, _ = _dop853(
-                lambda th, la, regime=regime: _rates(params, mu, th, la, regime),
-                t0, y0, t_end, rel_tol, abs_tol, events, stats,
-            )
+            ts, ths, las, fired, _ = _dop853(rates, t0, y0, t_end, rel_tol, abs_tol, events, stats)
         all_t.append(ts)
         all_th.append(ths)
         all_la.append(las)
@@ -390,7 +406,7 @@ def integrate(
         t_star, y_star = float(ts[-1]), (float(ths[-1]), float(las[-1]))
         # Euler nudge into the target regime keeps the restart strictly off
         # the boundary zero (well inside the 1e-10 location tolerance).
-        dy = _rates(params, mu, *y_star, target)
+        dy = make_rates(params, mu, target)(*y_star)
         t0 = t_star + _NUDGE
         y0 = (y_star[0] + _NUDGE * dy[0], y_star[1] + _NUDGE * dy[1])
         if t0 >= t_end:
@@ -423,13 +439,13 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     its theta-row. Turning points (lambda = f(theta), lambda = g(theta)) give
     the amplitudes. Every lap adds its solver counts to one SolverStats.
     """
-    jac = make_jacobian(params, mu)
+    rates, jac = make_rates(params, mu), make_jacobian(params, mu)
     stats = SolverStats("DOP853")
     spent = [0.0, 0]  # time integrated, laps
 
     def flow(theta, lam, u, v):  # (u, v) = d(theta, lam)/dlam at the start
         (a, b), (c, d) = jac(None, (theta, lam))
-        return (*_rates(params, mu, theta, lam, None), a * u + b * v, c * u + d * v)
+        return (*rates(theta, lam), a * u + b * v, c * u + d * v)
 
     def crossing(t, y):
         return y[0] - cp.theta_c
@@ -460,7 +476,7 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
             if fired != 0:
                 return None
             t, y = ts[-1], tuple(column[-1] for column in ys)
-        dtheta, dlam = _rates(params, mu, y[0], y[1], None)
+        dtheta, dlam = rates(y[0], y[1])
         return LimitCycle(
             period=t,
             amplitude_theta=0.5 * (max(thetas) - min(thetas)),

@@ -100,6 +100,15 @@ def test_find_equilibria_validation(hopf_model):
         gd.find_equilibria(hopf_model, grid_n=50)
 
 
+@pytest.mark.parametrize("override", [{"beta": 1e200}, {"alpha1": -1e300}])
+def test_scan_of_an_overflowing_h_warns_nothing(hopf_model, override):
+    # h = f - g near 1e200 or beyond: the scan compares signs, so nothing
+    # squares it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert gd.find_equilibria(replace(hopf_model, **override)) == []
+
+
 def test_find_equilibria_reports_tangency(hopf_model):
     params = make_tangency(hopf_model, 1.432, 0.05, 1.452, 1.482)
     with warnings.catch_warnings(record=True) as caught:

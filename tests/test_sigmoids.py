@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glacier_dyn as gd
-from glacier_dyn.model import _response, _response_slope, response_eval, sigmoid_eval
+from glacier_dyn.model import (
+    LAMBDA_FLOOR,
+    _response_slope,
+    _snow_line,
+    make_rates,
+    response_eval,
+    sigmoid_eval,
+)
 
 SMOOTH = (gd.SigmoidFamily.TANH, gd.SigmoidFamily.LOGISTIC, gd.SigmoidFamily.ERF)
 ALL_FAMILIES = SMOOTH + (gd.SigmoidFamily.PIECEWISE_LINEAR,)
@@ -217,7 +224,6 @@ def test_folded_response_matches_response_eval_bit_for_bit(
 ):
     curve = gd.SigmoidResponse(limit_minus, limit_plus, center, steepness, family)
     value = response_eval(curve, theta, 0)
-    assert _bits(_response(curve, theta)) == _bits(value)
     if family is gd.SigmoidFamily.PIECEWISE_LINEAR and abs((theta - center) / steepness) == 1.0:
         with pytest.raises(gd.NonDifferentiablePoint):
             response_eval(curve, theta, 1)
@@ -227,3 +233,51 @@ def test_folded_response_matches_response_eval_bit_for_bit(
     folded_value, slope = _response_slope(curve, theta)
     assert _bits(folded_value) == _bits(value)
     assert _bits(slope) == _bits(response_eval(curve, theta, 1))
+
+
+def _field(params, mu, theta, lam, regime):
+    """The field on response_eval, the second route for make_rates, written
+    operation for operation as make_rates must evaluate it; dtheta/dtau
+    takes lambda before the clamp."""
+    dtheta = mu * (
+        1.0
+        + params.beta
+        - params.gamma * (params.alpha1 + params.alpha2 * lam)
+        - (1.0 - params.gamma) * response_eval(params.albedo, theta, 0)
+        - theta
+    )
+    if regime is None:
+        xi = response_eval(params.accum, theta, 0)
+        return dtheta, math.sqrt(max(lam, 0.0)) * ((1.0 + xi) * (1.0 - 4.0 * lam) - 1.0)
+    lam = max(lam, LAMBDA_FLOOR)
+    if regime is gd.Regime.STAGNANT:
+        return dtheta, -math.sqrt(lam)
+    xi = response_eval(params.accum, theta, 0)
+    if regime is gd.Regime.NUCLEATION:
+        return dtheta, -(xi / (2.0 * math.sqrt(lam))) * params.epsilon
+    return dtheta, math.sqrt(lam) * ((1.0 + xi) * _snow_line(lam, params.epsilon)[0] - 1.0)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_CURVES = st.builds(gd.SigmoidResponse, _UNIT, _UNIT, st.floats(0.5, 2.0), st.floats(1e-3, 1.0),
+                    st.sampled_from(ALL_FAMILIES))
+
+
+@given(
+    params=st.builds(gd.ModelParams, st.floats(0.1, 2.0), st.floats(0.05, 0.95),
+                     st.floats(-1.0, 1.0), st.floats(0.01, 2.0), st.floats(-0.2, 0.2),
+                     _CURVES, _CURVES),
+    regime=st.sampled_from([None, *gd.Regime]),
+    mu=st.floats(0.1, 1e3),
+    theta=st.floats(0.0, 3.0),
+    lam=st.one_of(
+        st.floats(LAMBDA_FLOOR, 1.0),
+        st.floats(0.0, LAMBDA_FLOOR, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1.0, 0.0, exclude_max=True),
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_make_rates_matches_the_field_bit_for_bit(params, regime, mu, theta, lam):
+    got = make_rates(params, mu, regime)(theta, lam)
+    assert [_bits(v) for v in got] == [_bits(v) for v in _field(params, mu, theta, lam, regime)]

@@ -3,6 +3,7 @@
 import math
 
 from dataclasses import replace
+from operator import mul
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from glacier_dyn import (
 )
 from glacier_dyn import _solvers, simulator
 from glacier_dyn.errors import DomainError, StiffnessError
-from glacier_dyn.model import lambda0, make_jacobian, make_rhs, regime_of
+from glacier_dyn.model import lambda0, make_jacobian, make_rates, make_rhs, regime_of
 from glacier_dyn.oracle import direct_cycle, fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination, Trajectory
 
@@ -232,6 +233,32 @@ def _solve_ivp_kernel(rates, t0, y0, t_end, rtol, atol, events, stats):
     return (sol.t, *sol.y, fired, hits)
 
 
+def _dot(a, k):
+    """sum(map(mul, a, k)) as Python 3.11 adds it: term by term from 0 (from
+    3.12 on, sum() compensates float sums)."""
+    total = 0
+    for term in map(mul, a, k):
+        total += term
+    return total
+
+
+def _stage_loop(rates, h, y, f):
+    """A DOP853 step as a plain loop over the tableau, the second route for
+    the compiled kernels: (new state, E5 sums, E3 sums, stage rates 0-15)."""
+    ks, new = [[v] for v in f], None
+    for s in range(1, 16):
+        z = [v + _dot(_solvers.DOP853_A[s], k) * h for v, k in zip(y, ks)]
+        new = z if s == 12 else new
+        for k, r in zip(ks, rates(*z)):
+            k.append(r)
+    return (new, [_dot(_solvers.DOP853_E5, k) for k in ks],
+            [_dot(_solvers.DOP853_E3, k) for k in ks], ks)
+
+
+def _quadratic(*z):
+    return tuple(z[i] * z[(i + 1) % len(z)] - 0.5 * z[i] + 1.0 for i in range(len(z)))
+
+
 def _both_routes(monkeypatch, params, start, t_end, mu=1.0, **kwargs):
     ours = integrate(params, mu, State(*start), t_end, **kwargs)
     with monkeypatch.context() as m:
@@ -287,6 +314,33 @@ class TestExplicitKernel:
                                     model=ModelKind.FULL)
         assert ours.terminated is theirs.terminated is Termination.LAMBDA_FLOOR
         assert ours.times[-1] == pytest.approx(theirs.times[-1], abs=1e-9)
+
+    @staticmethod
+    def _kernel_against_loop(rates, y, h):
+        f = rates(*y)
+        step, dense = simulator._dop853_stages(len(y))
+        new, e5, e3, ks = step(rates, h, y, f)
+        want = _stage_loop(rates, h, y, f)
+        assert _bits([new, e5, e3, dense(rates, h, y, ks)]) == _bits(list(want))
+        return want
+
+    @given(n=st.sampled_from([2, 4]), y=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           h=st.floats(1e-4, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_step_matches_the_stage_loop_bit_for_bit(self, n, y, h):
+        self._kernel_against_loop(_quadratic, y[:n], h)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_compiled_step_keeps_overflow_and_signed_zeros(self, n):
+        # Stage 1 overflows to inf. Rows 3-12 weigh it by 0.0, and 0.0 * inf
+        # makes the new state nan.
+        new, _, _, ks = self._kernel_against_loop(
+            lambda *z: tuple(v * v if v < 1e200 else 1.0 for v in z), [1e150] * n, 1e-140)
+        assert all(math.isinf(k[1]) for k in ks) and all(map(math.isnan, new))
+        # A sum of -0.0 terms is +0.0, as the terms add to 0: in y' = y from
+        # -0.0, stage 1 is at +0.0.
+        ks = self._kernel_against_loop(lambda *z: z, [-0.0] * n, 0.1)[3]
+        assert [_bits(k[:2]) for k in ks] == [[_bits(-0.0), _bits(0.0)]] * n
 
     def test_rtol_floor_of_100_eps(self, hopf_model):
         # As in scipy, rtol is raised to 100 eps: 1e-14 runs as 2.2e-14.
@@ -624,13 +678,18 @@ class TestPoincareCycle:
             assert abs(getattr(ours.stats, name) - want) <= 0.02 * want
 
     def test_stats_sum_over_the_laps(self, hopf_model, hopf_cp, monkeypatch):
-        real, calls = simulator._rates, [0]
+        calls = [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return real(*args)
+        def counted_rates(*args):
+            rates = make_rates(*args)
 
-        monkeypatch.setattr(simulator, "_rates", counted)
+            def counted(theta, lam):
+                calls[0] += 1
+                return rates(theta, lam)
+
+            return counted
+
+        monkeypatch.setattr(simulator, "make_rates", counted_rates)
         th = mu_thresholds(hopf_cp)
         cycle = poincare_cycle(hopf_model, 1.16 * th.mu0, hopf_cp)
         stats = cycle.stats
