@@ -1,15 +1,29 @@
-"""Solver internals loaded on the first integration: DOP853's tableau and the
-stiff stepper, scipy's Radau IIA of order 5 on two floats.
+"""The package's ODE steppers, loaded on the first integration: scipy's
+DOP853 on a tuple of n floats and its Radau IIA of order 5 on two floats.
+
+Both run on one driver, `_drive`, and share what scipy's solvers share:
+the first-step rule (`select_initial_step`), the 100*eps floor on rtol, the
+10-ulp minimum step (StiffnessError below it), and events. After each
+accepted step every event is checked for a sign change in its direction,
+and only then is the method's dense output built and the roots bisected on
+it, in time order. A terminal event ends the run with its root as the last
+row. Both methods take (rates, t0, y0, t_end, rtol, atol, events, stats),
+where rates(*y) is an autonomous field and stats a SolverStats that
+collects the counts, and both return (times, one column per component,
+index of the terminal event that fired or None, the non-terminal events
+located as (event index, root, state)).
 
 Every constant is a literal equal bit for bit to scipy's
 (scipy.integrate._ivp.dop853_coefficients and .radau), so no command
-imports scipy to integrate, and commands that integrate nothing compile
+imports scipy to integrate, and commands that integrate nothing load
 none of this.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache, partial
+from operator import mul, truediv
 
 from .errors import StiffnessError
 from .model import bisect
@@ -106,6 +120,161 @@ _PT = tuple(zip(*P))
 _SQRT2, _SQRT6 = math.sqrt(2.0), math.sqrt(6.0)
 
 
+def select_initial_step(rates, t0, y0, f0, t_end, order, rtol, atol):
+    """scipy's select_initial_step forward in time (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4) for an error estimator of the given order, with
+    scipy's RMS norm sqrt(sum of squares)/sqrt(n); f0 = rates(*y0), and the
+    rule makes one more RHS call. Rates whose scaled RMS overflows raise
+    StiffnessError at (t0, the first two components of y0)."""
+    scale, root_n = [atol + abs(v) * rtol for v in y0], math.sqrt(len(y0))
+
+    def rms(v):
+        return math.sqrt(sum([q * q for q in map(truediv, v, scale)])) / root_n
+
+    d0, d1 = rms(y0), rms(f0)
+    if not math.isfinite(d1):
+        raise StiffnessError(f"rates {f0} at {y0} overflow the first-step rule",
+                             time=t0, state=tuple(y0[:2]))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t0)
+    f1 = rates(*[v + h0 * w for v, w in zip(y0, f0)])
+    d2 = rms([b - a for a, b in zip(f0, f1)]) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, t_end - t0)
+
+
+def _drive(step, interpolant, t, y, t_end, events, stats):
+    """Accepted steps from (t, y) to t_end, with the event loop of the module
+    docstring. step(t, y, min_step) returns the next (t, y), or None where
+    it would need a step below min_step; interpolant(t_old, y_old, t, y)
+    returns the last step's dense output, sol(tau) -> state."""
+    gs = [ev(t, y) for ev in events]
+    ts, ys, hits = [t], [y], []
+    while t < t_end:
+        t_old, y_old = t, y
+        new = step(t, y, 10 * (math.nextafter(t, math.inf) - t))
+        if new is None:
+            raise StiffnessError("Required step size is less than spacing between numbers.",
+                                 time=t, state=tuple(y[:2]))
+        t, y = new
+        stats.steps += 1
+        new_gs = [ev(t, y) for ev in events]
+        located = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
+                   if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
+        gs = new_gs
+        if located:
+            sol = interpolant(t_old, y_old, t, y)
+            roots = sorted((bisect(lambda tau: events[i](tau, sol(tau)), t_old, t,
+                                   xtol=4 * EPS, rtol=4 * EPS), i) for i in located)
+            for root, i in roots:
+                stats.events += 1
+                if events[i].terminal:
+                    ts.append(root)
+                    ys.append(sol(root))
+                    return (ts, *zip(*ys), i, hits)
+                hits.append((i, root, sol(root)))
+        ts.append(t)
+        ys.append(y)
+    return (ts, *zip(*ys), None, hits)
+
+
+@cache
+def _dop853_stages(n: int):
+    """(step, dense) for a state of n components, compiled with DOP853's
+    tableau written out as literals, as dataclasses compiles __init__.
+
+    step(rates, h, y, f) takes stages 1-12 of a step of size h from y, where
+    f = rates(*y), and returns (new state, E5 sums, E3 sums, each component's
+    rates at stages 0-12). dense(rates, h, y, ks) extends those rates with
+    stages 13-15 of the same step. Every sum keeps all its terms, zeros
+    included, and adds them left to right from 0, as sum(map(mul, a, k))
+    does up to Python 3.11, so each number keeps its bits, also where a
+    stage is not finite.
+    """
+    rows, seq = DOP853_A, ", ".join
+    ys, zs = (seq(f"{c}{i}" for i in range(n)) for c in "yz")
+
+    def dot(coefs, i):  # sum(map(mul, coefs, k_i)), term by term from 0
+        return "(0.0" + "".join(f" + {c!r} * k{i}_{s}" for s, c in enumerate(coefs)) + ")"
+
+    def stages(first, stop):
+        return "".join(f"""
+    {zs}, = {seq(f"y{i} + {dot(rows[s], i)} * h" for i in range(n))},
+    {seq(f"k{i}_{s}" for i in range(n))}, = rates({zs})""" for s in range(first, stop))
+
+    def ks(stop):
+        return seq(f"({seq(f'k{i}_{s}' for s in range(stop))},)" for i in range(n))
+
+    src = f"""def step(rates, h, y, f):
+    ({ys},), ({seq(f"k{i}_0" for i in range(n))},) = y, f{stages(1, 13)}
+    return ({zs},), ({seq(dot(DOP853_E5, i) for i in range(n))},), \\
+        ({seq(dot(DOP853_E3, i) for i in range(n))},), ({ks(13)},)
+
+
+def dense(rates, h, y, ks):
+    ({ys},), ({ks(13)},) = y, ks{stages(13, 16)}
+    return ({ks(16)},)
+"""
+    namespace = {}
+    exec(src, namespace)
+    return namespace["step"], namespace["dense"]
+
+
+def dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
+    """scipy's DOP853 on a tuple of n floats: the same tableau, error norm
+    and step controller as solve_ivp(method="DOP853"), and its 7th-order
+    dense output for events, built only where one is located."""
+    n, (stages, dense_stages) = len(y0), _dop853_stages(len(y0))
+    rtol, f = max(rtol, 100 * EPS), rates(*y0)
+    h_abs = select_initial_step(rates, t0, y0, f, t_end, 7, rtol, atol)
+    stats.nfev += 2
+    h = ks = None  # the last accepted step's size and stage rates
+
+    def step(t, y, min_step):
+        nonlocal f, h_abs, h, ks
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return None
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ys, s5, s3, ks = stages(rates, h, y, f)
+            stats.nfev += 12
+            n5 = n3 = 0.0
+            for v, w, a, b in zip(y, ys, s5, s3):
+                scale = atol + max(abs(v), abs(w)) * rtol
+                q5, q3 = a / scale, b / scale
+                n5, n3 = n5 + q5 * q5, n3 + q3 * q3
+            err = h * n5 / math.sqrt((n5 + 0.01 * n3) * n) if n5 or n3 else 0.0
+            if err < 1:
+                factor = min(10.0, 0.9 * err**-0.125) if err else 10.0
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                f = [k[12] for k in ks]
+                return t_new, ys
+            h_abs = h * max(0.2, 0.9 * err**-0.125)
+            rejected = True
+            stats.rejected += 1
+
+    def interpolant(t_old, y_old, t, y):
+        all_ks = dense_stages(rates, h, y_old, ks)
+        stats.nfev += 3
+        ps = []
+        for v_old, v, k in zip(y_old, y, all_ks):
+            dv = v - v_old
+            ps.append([dv, h * k[0] - dv, 2 * dv - h * (k[12] + k[0])]
+                      + [h * sum(map(mul, d, k)) for d in DOP853_D])
+
+        def sol(tau):
+            x, qs = (tau - t_old) / h, [0.0] * n
+            for i in range(6, -1, -1):
+                w = x if i % 2 == 0 else 1.0 - x
+                qs = [(q + p[i]) * w for q, p in zip(qs, ps)]
+            return tuple(v + q for v, q in zip(y_old, qs))
+
+        return sol
+
+    return _drive(step, interpolant, t0, y0, t_end, events, stats)
+
+
 def _rms(a, b):
     return math.sqrt(a * a + b * b) / _SQRT2
 
@@ -184,31 +353,19 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1.0, multiplier) * error_norm ** -0.25 if error_norm else math.inf
 
 
-def radau(rates, jac, t0, y0, t_end, rtol, atol, events, stats):
-    """scipy's Radau on two floats: rates(u, v) is an autonomous field and
-    jac(t, y) its Jacobian ((a, b), (c, d)), or None for forward differences
-    (their RHS calls count in stats.nfev).
+def radau(rates, t0, y0, t_end, rtol, atol, events, stats, jac):
+    """scipy's Radau on two floats, with jac(t, y) the field's Jacobian
+    ((a, b), (c, d)), or None for forward differences (their RHS calls count
+    in stats.nfev).
 
-    Same initial step, Newton iteration and tolerance, Jacobian reuse and
-    refactorisation, error estimate, predictive step controller, 10-ulp
-    minimum step (StiffnessError below it) and 100*eps floor on rtol as
+    Same Newton iteration and tolerance, Jacobian reuse and
+    refactorisation, error estimate and predictive step controller as
     solve_ivp(method="Radau"). A singular iteration matrix, like a Newton
-    iterate with non-finite rates, fails the Newton iteration. Every event
-    is terminal: after each step its sign change is checked in its
-    direction, and its root is bisected on the collocation cubic and ends
-    the run as the last row. Counts go into stats. Returns (times, u
-    column, v column, index of the event that fired or None).
+    iterate with non-finite rates, fails the Newton iteration. Events are
+    located on the collocation cubic.
     """
-    rtol, t, (u, v) = max(rtol, 100 * EPS), t0, y0
-    fu, fv = rates(u, v)
-    # select_initial_step for an error estimator of order 3.
-    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    gu, gv = rates(u + h0 * fu, v + h0 * fv)
-    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.25
-    h_next, h_prev, err_prev = min(100 * h0, h1, t_end - t), None, None
+    rtol, (fu, fv) = max(rtol, 100 * EPS), rates(*y0)
+    h_next = select_initial_step(rates, t0, y0, (fu, fv), t_end, 3, rtol, atol)
     stats.nfev += 2
     newton_tol = max(10 * EPS / rtol, min(0.03, rtol**0.5))
 
@@ -229,11 +386,14 @@ def radau(rates, jac, t0, y0, t_end, rtol, atol, events, stats):
         (a, c), (b, d) = columns
         return (a, b), (c, d)
 
-    J, current_jac, lu_real, lu_complex, dense = jacobian(u, v, fu, fv), True, None, None, None
-    gs = [ev(t, (u, v)) for ev in events]
-    ts, us, vs = [t], [u], [v]
-    while t < t_end:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+    J, current_jac, lu_real, lu_complex, dense = jacobian(*y0, fu, fv), True, None, None, None
+    h_prev = err_prev = None
+
+    def step(t, y, min_step):
+        # No comprehension here reads a local: that would make the locals
+        # closure cells, built anew on every step.
+        nonlocal fu, fv, J, current_jac, lu_real, lu_complex, dense, h_next, h_prev, err_prev
+        u, v = y
         if h_next < min_step:
             h_abs, h_old, err_old = min_step, None, None
         else:
@@ -241,14 +401,16 @@ def radau(rates, jac, t0, y0, t_end, rtol, atol, events, stats):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StiffnessError("Required step size is less than spacing between numbers.",
-                                     time=t, state=(u, v))
+                return None
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             if dense is None:
                 z = ((0.0, 0.0),) * 3
             else:  # the last step's cubic, extrapolated to this step's nodes
-                z = [(a - u, b - v) for a, b in (_cubic(dense, t + h * c) for c in C)]
+                z = []
+                for c in C:
+                    a, b = _cubic(dense, t + h * c)
+                    z.append((a - u, b - v))
             su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
             converged = False
             while not converged:
@@ -301,23 +463,11 @@ def radau(rates, jac, t0, y0, t_end, rtol, atol, events, stats):
             J = jacobian(u_new, v_new, fu, fv)
         current_jac = recompute_jac
         h_prev, err_prev, h_next = h_next, err, h_abs * factor
-        dense = (t, h, u, v, tuple(z0u * p0 + z1u * p1 + z2u * p2 for p0, p1, p2 in _PT),
-                 tuple(z0v * p0 + z1v * p1 + z2v * p2 for p0, p1, p2 in _PT))
-        t, u, v = t_new, u_new, v_new
-        stats.steps += 1
-        new_gs = [ev(t, (u, v)) for ev in events]
-        located = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
-                   if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
-        gs = new_gs
-        if located:
-            root, i = min((bisect(lambda tau: events[i](tau, _cubic(dense, tau)), dense[0], t,
-                                  xtol=4 * EPS, rtol=4 * EPS), i) for i in located)
-            stats.events += 1
-            ts.append(root)
-            for column, value in zip((us, vs), _cubic(dense, root)):
-                column.append(value)
-            return ts, us, vs, i
-        ts.append(t)
-        us.append(u)
-        vs.append(v)
-    return ts, us, vs, None
+        qu, qv = [], []
+        for p0, p1, p2 in _PT:
+            qu.append(z0u * p0 + z1u * p1 + z2u * p2)
+            qv.append(z0v * p0 + z1v * p1 + z2v * p2)
+        dense = (t, h, u, v, qu, qv)
+        return t_new, (u_new, v_new)
+
+    return _drive(step, lambda *_: partial(_cubic, dense), t0, y0, t_end, events, stats)

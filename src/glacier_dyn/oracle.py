@@ -29,8 +29,9 @@ from .model import (
     State,
     bisect,
     lambda0,
+    make_rates,
+    make_rhs,
     response_eval,
-    vector_field,
 )
 from .stability import (
     Jacobian2,
@@ -113,16 +114,17 @@ def fd_jacobian(params: ModelParams, mu: float, s: State, cfg: FdConfig = FdConf
         raise DomainError(
             f"lambda = {s.lam} leaves no finite-difference margin at step {h_lam}"
         )
+    if s.theta - h_theta <= 0:
+        raise DomainError(
+            f"theta = {s.theta} leaves no finite-difference margin at step {h_theta}"
+        )
 
-    def rhs(theta, lam, comp):
-        return vector_field(params, mu, State(theta=theta, lam=lam))[comp]
-
-    n = cfg.richardson_levels
+    rates, n = make_rates(params, mu), cfg.richardson_levels
     return Jacobian2(
-        a11=_fd1(lambda th: rhs(th, s.lam, 0), s.theta, h_theta, n),
-        a12=_fd1(lambda lam: rhs(s.theta, lam, 0), s.lam, h_lam, n),
-        a21=_fd1(lambda th: rhs(th, s.lam, 1), s.theta, h_theta, n),
-        a22=_fd1(lambda lam: rhs(s.theta, lam, 1), s.lam, h_lam, n),
+        a11=_fd1(lambda th: rates(th, s.lam)[0], s.theta, h_theta, n),
+        a12=_fd1(lambda lam: rates(s.theta, lam)[0], s.lam, h_lam, n),
+        a21=_fd1(lambda th: rates(th, s.lam)[1], s.theta, h_theta, n),
+        a22=_fd1(lambda lam: rates(s.theta, lam)[1], s.lam, h_lam, n),
     )
 
 
@@ -301,7 +303,7 @@ def direct_cycle(
 ) -> tuple[float, float, float]:
     """(period, amplitude_theta, amplitude_lambda) of the attracting cycle
     around cp: the second route for simulator.poincare_cycle, too slow for
-    `verify`. Integrates model.vector_field (DOP853) from 1e-3 off cp in
+    `verify`. Integrates model.make_rhs's field (DOP853) from 1e-3 off cp in
     theta to t_end and samples the last lap between rising crossings of
     theta = theta_c at 20,001 points, so it is exact once transients decay.
     """
@@ -313,9 +315,8 @@ def direct_cycle(
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
-        lambda t, y: vector_field(params, mu, State(theta=y[0], lam=y[1])), (0.0, t_end),
-        (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853", rtol=1e-10, atol=1e-12,
-        events=[section], dense_output=True,
+        make_rhs(params, mu), (0.0, t_end), (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853",
+        rtol=1e-10, atol=1e-12, events=[section], dense_output=True,
     )
     if len(sol.t_events[0]) < 2:
         raise OracleMismatch(f"no lap around theta_c = {cp.theta_c} by tau = {t_end}")

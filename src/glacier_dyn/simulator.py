@@ -5,24 +5,21 @@ than lambda, so for large mu an explicit step is capped by stability rather
 than accuracy. Up to STIFF_MU it uses the explicit Dormand-Prince pair of
 order 8(5,3); at the default tolerance of 1e-9 it takes less than half the
 steps of a 5(4) pair on hopf_demo, for about the same number of RHS calls
-(Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.6 and II.10). That pair
-runs in _dop853, a loop on Python floats with scipy's DOP853 tableau and
-step controller: scipy's solve_ivp spends most of its time on per-step
-array bookkeeping for a 2-vector. A step is one compiled function with the
-tableau as literals, and it calls the rates closure that model.make_rates
-builds once per segment. Above STIFF_MU it uses the implicit Radau IIA
-method of order 5 (Solving ODEs II, IV.8), scipy's Radau ported decision
-for decision onto two floats (_solvers.radau), with the analytic
-model.make_jacobian for the simplified model and forward differences for
-the full one. Either way events are
-located on dense output. The full model is integrated piecewise: within a
-segment the mass-balance regime is fixed, and each regime arms only the
-events for boundaries it can actually leave through, so a restart exactly
-on a boundary zero cannot re-trigger the crossing just handled.
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.6 and II.10). Above
+STIFF_MU it uses the implicit Radau IIA method of order 5 (Solving ODEs II,
+IV.8), with the analytic model.make_jacobian for the simplified model and
+forward differences for the full one. Both are scipy's methods on Python
+floats, in glacier_dyn._solvers (loaded on the first integration), which
+also holds their shared first-step rule and event location; they step the
+rates closure that model.make_rates builds once per segment. This module
+holds the model-level logic. The full model is integrated piecewise:
+within a segment the mass-balance regime is fixed, and each regime arms
+only the events for boundaries it can actually leave through, so a restart
+exactly on a boundary zero cannot re-trigger the crossing just handled.
 
 Limit cycles are shot, not waited for: Newton's method on the return map of
 a section (Kuznetsov, Elements of Applied Bifurcation Theory, 3.5 and 10.3),
-whose laps run on _dop853 with the variational equation as two more floats.
+whose laps run on DOP853 with the variational equation as two more floats.
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache
-from operator import mul, truediv
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +39,6 @@ from .model import (
     Regime,
     State,
     _snow_line,
-    bisect,
     make_jacobian,
     make_rates,
     nullcline_f,
@@ -193,146 +188,6 @@ def _segment_events(params: ModelParams, regime: Regime | None):
     return events, targets
 
 
-_EPS = math.ulp(1.0)
-
-
-@cache
-def _dop853_stages(n: int):
-    """(step, dense) for a state of n components, compiled with DOP853's
-    tableau written out as literals, as dataclasses compiles __init__.
-
-    step(rates, h, y, f) takes stages 1-12 of a step of size h from y, where
-    f = rates(*y), and returns (new state, E5 sums, E3 sums, each component's
-    rates at stages 0-12). dense(rates, h, y, ks) extends those rates with
-    stages 13-15 of the same step. Every sum keeps all its terms, zeros
-    included, and adds them left to right from 0, as sum(map(mul, a, k))
-    does up to Python 3.11, so each number keeps its bits, also where a
-    stage is not finite.
-    """
-    from ._solvers import DOP853_A as rows, DOP853_E3 as e3, DOP853_E5 as e5
-
-    seq = ", ".join
-    ys, zs = (seq(f"{c}{i}" for i in range(n)) for c in "yz")
-
-    def dot(coefs, i):  # sum(map(mul, coefs, k_i)), term by term from 0
-        return "(0.0" + "".join(f" + {c!r} * k{i}_{s}" for s, c in enumerate(coefs)) + ")"
-
-    def stages(first, stop):
-        return "".join(f"""
-    {zs}, = {seq(f"y{i} + {dot(rows[s], i)} * h" for i in range(n))},
-    {seq(f"k{i}_{s}" for i in range(n))}, = rates({zs})""" for s in range(first, stop))
-
-    def ks(stop):
-        return seq(f"({seq(f'k{i}_{s}' for s in range(stop))},)" for i in range(n))
-
-    src = f"""def step(rates, h, y, f):
-    ({ys},), ({seq(f"k{i}_0" for i in range(n))},) = y, f{stages(1, 13)}
-    return ({zs},), ({seq(dot(e5, i) for i in range(n))},), \\
-        ({seq(dot(e3, i) for i in range(n))},), ({ks(13)},)
-
-
-def dense(rates, h, y, ks):
-    ({ys},), ({ks(13)},) = y, ks{stages(13, 16)}
-    return ({ks(16)},)
-"""
-    namespace = {}
-    exec(src, namespace)
-    return namespace["step"], namespace["dense"]
-
-
-def _dop853(rates, t0, y0, t_end, rtol, atol, events, stats):
-    """scipy's DOP853 on a tuple of n floats: rates(*y) is an autonomous field.
-
-    Same tableau, initial step, error norm, step controller, 10-ulp minimum
-    step (StiffnessError below it) and 100*eps floor on rtol as
-    solve_ivp(method="DOP853"). After each step every event is checked for a
-    sign change in its direction; only then is the 7th-order dense output
-    built and the root bisected on it. A terminal event ends the run with its
-    root as the last row. Counts go into stats. Returns (times, one column
-    per component of y, index of the terminal event or None, the
-    non-terminal events located as (event index, root, state)).
-    """
-    from ._solvers import DOP853_D as dense
-
-    n, (step, dense_stages) = len(y0), _dop853_stages(len(y0))
-    rtol, t, y = max(rtol, 100 * _EPS), t0, list(y0)
-    f = rates(*y)
-    # select_initial_step for an error estimator of order 7.
-    scale = [atol + abs(v) * rtol for v in y]
-
-    def rms(v):
-        return math.sqrt(sum([q * q for q in map(truediv, v, scale)]) / n)
-
-    d0, d1 = rms(y), rms(f)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    g = rates(*[v + h0 * w for v, w in zip(y, f)])
-    d2 = rms([b - a for a, b in zip(f, g)]) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100 * h0, h1, t_end - t)
-    stats.nfev += 2
-    gs = [ev(t, y) for ev in events]
-    out, hits = [(t, *y)], []
-    while t < t_end:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                raise StiffnessError("Required step size is less than spacing between numbers.",
-                                     time=t, state=tuple(y[:2]))
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            ys, s5, s3, ks = step(rates, h, y, f)
-            stats.nfev += 12
-            n5 = n3 = 0.0
-            for v, w, a, b in zip(y, ys, s5, s3):
-                scale = atol + max(abs(v), abs(w)) * rtol
-                q5, q3 = a / scale, b / scale
-                n5, n3 = n5 + q5 * q5, n3 + q3 * q3
-            err = h * n5 / math.sqrt((n5 + 0.01 * n3) * n) if n5 or n3 else 0.0
-            if err < 1:
-                factor = min(10.0, 0.9 * err**-0.125) if err else 10.0
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(0.2, 0.9 * err**-0.125)
-            rejected = True
-            stats.rejected += 1
-        t_old, y_old, t, y, f = t, y, t_new, ys, [k[12] for k in ks]
-        stats.steps += 1
-        new_gs = [ev(t, y) for ev in events]
-        located = [i for i, (ev, g, g_new) in enumerate(zip(events, gs, new_gs))
-                   if (ev.direction >= 0 and g <= 0 <= g_new) or (ev.direction <= 0 and g >= 0 >= g_new)]
-        gs = new_gs
-        if located:
-            ks = dense_stages(rates, h, y_old, ks)
-            stats.nfev += 3
-            ps = []
-            for v_old, v, k in zip(y_old, y, ks):
-                dv = v - v_old
-                ps.append([dv, h * k[0] - dv, 2 * dv - h * (k[12] + k[0])]
-                          + [h * sum(map(mul, d, k)) for d in dense])
-
-            def sol(tau):
-                x, qs = (tau - t_old) / h, [0.0] * n
-                for i in range(6, -1, -1):
-                    w = x if i % 2 == 0 else 1.0 - x
-                    qs = [(q + p[i]) * w for q, p in zip(qs, ps)]
-                return tuple(v + q for v, q in zip(y_old, qs))
-
-            roots = sorted(
-                (bisect(lambda tau: events[i](tau, sol(tau)), t_old, t,
-                        xtol=4 * _EPS, rtol=4 * _EPS), i)
-                for i in located
-            )
-            for root, i in roots:
-                stats.events += 1
-                if events[i].terminal:
-                    out.append((root, *sol(root)))
-                    return (*zip(*out), i, hits)
-                hits.append((i, root, sol(root)))
-        out.append((t, *y))
-    return (*zip(*out), None, hits)
-
-
 def integrate(
     params: ModelParams,
     mu: float,
@@ -344,16 +199,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the initial state up to tau = t_end.
 
-    The method follows mu: the in-package DOP853 loop up to STIFF_MU, the
-    in-package Radau loop above it (see the module docstring); stats counts
-    what the solver did. Both models run one segment loop. The simplified
-    model (regime None) has no boundaries, so it runs in one segment; the
-    full model restarts at every located regime-boundary crossing, nudging
-    the state one tiny Euler step into the new regime so the next segment
-    starts strictly off the boundary. Either model terminates early when
-    lambda reaches the floor. A non-finite or non-positive mu raises
-    DomainError; rates that overflow the first-step rule at a segment start
-    raise StiffnessError.
+    The method follows mu: _solvers.dop853 up to STIFF_MU, _solvers.radau
+    above it (see the module docstring); stats counts what the solver did.
+    Both models run one segment loop. The simplified model (regime None) has
+    no boundaries, so it runs in one segment; the full model restarts at
+    every located regime-boundary crossing, nudging the state one tiny Euler
+    step into the new regime so the next segment starts strictly off the
+    boundary. Either model terminates early when lambda reaches the floor. A
+    non-finite or non-positive mu raises DomainError. The solver raises
+    StiffnessError where its step falls below 10 ulp of t, and where the
+    rates at a segment start overflow its first-step rule (as it does on the
+    shooting laps).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -364,68 +220,41 @@ def integrate(
         raise DomainError(f"mu must be finite and positive, got {mu}")
     full = model is ModelKind.FULL
     stiff = mu > STIFF_MU
-    if stiff:
-        from ._solvers import radau
+    from ._solvers import dop853, radau
 
-        # Radau differences the full model's Jacobian; the simplified one is analytic.
-        jac = None if full else make_jacobian(params, mu)
+    # Radau differences the full model's Jacobian; the simplified one is analytic.
+    solve = partial(radau, jac=None if full else make_jacobian(params, mu)) if stiff else dop853
     stats = SolverStats("Radau" if stiff else "DOP853")
 
     # One solver segment per regime.
-    t0 = 0.0
-    y0 = (initial.theta, initial.lam)
-    all_t, all_th, all_la = [], [], []
-    all_reg: list[str] | None = [] if full else None
+    t0, y0 = 0.0, (initial.theta, initial.lam)
+    segments, regimes = [], [] if full else None
     terminated = Termination.TIME_LIMIT
     for _ in range(_MAX_SEGMENTS):
         regime = regime_of(params, max(y0[1], LAMBDA_FLOOR)) if full else None
         events, targets = _segment_events(params, regime)
-        # Both first-step rules take the RMS of rate/(abs_tol + |y|*rel_tol)
-        # and fail, with no typed error, where it overflows.
-        rates = make_rates(params, mu, regime)
-        f0 = rates(*y0)
-        scaled = [r / (abs_tol + abs(v) * rel_tol) for r, v in zip(f0, y0)]
-        if not math.isfinite(sum([q * q for q in scaled])):
-            raise StiffnessError(f"rates {f0} at (theta, lambda) = {y0} overflow the "
-                                 "first-step rule", time=t0, state=y0)
-        if stiff:
-            ts, ths, las, fired = radau(rates, jac, t0, y0, t_end, rel_tol, abs_tol, events, stats)
-        else:
-            ts, ths, las, fired, _ = _dop853(rates, t0, y0, t_end, rel_tol, abs_tol, events, stats)
-        all_t.append(ts)
-        all_th.append(ths)
-        all_la.append(las)
+        ts, ths, las, fired, _ = solve(make_rates(params, mu, regime), t0, y0, t_end,
+                                       rel_tol, abs_tol, events, stats)
+        segments.append((ts, ths, las))
         if full:
-            all_reg.extend([regime.value] * len(ts))
+            regimes.extend([regime.value] * len(ts))
         if fired is None:
             break
         if fired == 0:
             terminated = Termination.LAMBDA_FLOOR
             break
-        target = targets[fired - 1]
         t_star, y_star = float(ts[-1]), (float(ths[-1]), float(las[-1]))
         # Euler nudge into the target regime keeps the restart strictly off
         # the boundary zero (well inside the 1e-10 location tolerance).
-        dy = make_rates(params, mu, target)(*y_star)
-        t0 = t_star + _NUDGE
-        y0 = (y_star[0] + _NUDGE * dy[0], y_star[1] + _NUDGE * dy[1])
+        dy = make_rates(params, mu, targets[fired - 1])(*y_star)
+        t0, y0 = t_star + _NUDGE, (y_star[0] + _NUDGE * dy[0], y_star[1] + _NUDGE * dy[1])
         if t0 >= t_end:
             break
     else:
-        raise StiffnessError(
-            "regime switching did not settle (segment budget exhausted)",
-            time=float(all_t[-1][-1]),
-            state=(float(all_th[-1][-1]), float(all_la[-1][-1])),
-        )
-
-    return Trajectory(
-        times=np.concatenate(all_t),
-        thetas=np.concatenate(all_th),
-        lams=np.concatenate(all_la),
-        terminated=terminated,
-        regimes=all_reg,
-        stats=stats,
-    )
+        raise StiffnessError("regime switching did not settle (segment budget exhausted)",
+                             time=t_star, state=y_star)
+    times, thetas, lams = (np.concatenate(column) for column in zip(*segments))
+    return Trajectory(times, thetas, lams, terminated, regimes, stats)
 
 
 def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, budget: float):
@@ -434,11 +263,13 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     lap outlasts cap, reaches the lambda floor, or the hunt has spent budget.
 
     The flow runs with its variational equation for d/dlam to the falling,
-    then the rising crossing, on _dop853. dP/dlam is the variation's
+    then the rising crossing, on _solvers.dop853. dP/dlam is the variation's
     lambda-row less the return-time shift, (dlambda/dtau)/(dtheta/dtau) times
     its theta-row. Turning points (lambda = f(theta), lambda = g(theta)) give
     the amplitudes. Every lap adds its solver counts to one SolverStats.
     """
+    from ._solvers import dop853
+
     rates, jac = make_rates(params, mu), make_jacobian(params, mu)
     stats = SolverStats("DOP853")
     spent = [0.0, 0]  # time integrated, laps
@@ -468,8 +299,8 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
         thetas, lams = [cp.theta_c], [lam]
         for direction in (-1, 1):
             crossing.direction = direction
-            ts, *ys, fired, hits = _dop853(flow, t, y, t_max, _SHOOT_RTOL, _SHOOT_RTOL * 1e-2,
-                                           events, stats)
+            ts, *ys, fired, hits = dop853(flow, t, y, t_max, _SHOOT_RTOL, _SHOOT_RTOL * 1e-2,
+                                          events, stats)
             spent[0] += ts[-1] - t
             thetas += [state[0] for i, _, state in hits if i == 2]
             lams += [state[1] for i, _, state in hits if i == 3]

@@ -687,20 +687,27 @@ class TestOutput:
 def test_closed_form_commands_load_no_scipy(tmp_path):
     # scipy takes most of a second to import; the commands that integrate
     # nothing must not pay for it, whatever a later edit imports at top level.
+    # Nor do they load the package's own steppers, glacier_dyn._solvers.
     script = f"""
 import sys
 from glacier_dyn.cli import build_parser, main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "glacier_dyn._solvers")
+
+print(loaded())
 out = {str(tmp_path / "out")!r}
 for params in {[TABLE1, FIG2, HOPF]!r}:
     for argv in (["analyze"], ["verify", "--seed", "0"],
                  ["sweep", "--mu-min", "0.5", "--mu-max", "5", "--mu-steps", "9"]):
         assert main(argv + ["--params", params, "--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_integrating_commands_load_no_scipy(tmp_path):

@@ -61,6 +61,9 @@ def test_fd_jacobian_a21_vanishes_at_quarter(hopf_model):
 def test_fd_jacobian_domain_margin(hopf_model):
     with pytest.raises(gd.DomainError):
         fd_jacobian(hopf_model, 1.0, gd.State(1.4, 1e-5), FdConfig(base_step=1e-2))
+    # The theta stencil reaches 1e-3 - 1.35e-3 < 0.
+    with pytest.raises(gd.DomainError, match="theta"):
+        fd_jacobian(hopf_model, 1.0, gd.State(1e-3, 0.25), FdConfig(base_step=1e-2))
 
 
 def test_fd_second_order_convergence(hopf_model):

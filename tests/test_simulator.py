@@ -3,6 +3,7 @@
 import math
 
 from dataclasses import replace
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -59,8 +60,8 @@ class TestIntegrateValidation:
                                               (3.0, {"alpha1": -1e300}),
                                               (1e150, {})])  # Radau
     def test_overflowing_start_rates_raise_stiffness_error(self, hopf_model, kind, mu, override):
-        # Both first-step rules divide by the RMS of the scaled rates, which
-        # overflows here; integrate says so before the solver starts.
+        # The first-step rule divides by the RMS of the scaled rates, which
+        # overflows here; it says so before the first step.
         with pytest.raises(StiffnessError, match="first-step rule") as exc:
             integrate(replace(hopf_model, **override), mu, State(1.43, 0.07), 1.0, model=kind)
         assert exc.value.time == 0.0 and exc.value.state == (1.43, 0.07)
@@ -218,7 +219,7 @@ class TestFullModel:
 
 
 def _solve_ivp_kernel(rates, t0, y0, t_end, rtol, atol, events, stats):
-    """simulator._dop853's contract, met by solve_ivp: the second route."""
+    """_solvers.dop853's contract, met by solve_ivp: the second route."""
     sol = solve_ivp(lambda t, y: rates(*y.tolist()), (t0, t_end), y0,
                     method="DOP853", rtol=rtol, atol=atol, events=events)
     assert sol.status >= 0, sol.message
@@ -262,7 +263,7 @@ def _quadratic(*z):
 def _both_routes(monkeypatch, params, start, t_end, mu=1.0, **kwargs):
     ours = integrate(params, mu, State(*start), t_end, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(simulator, "_dop853", _solve_ivp_kernel)
+        m.setattr(_solvers, "dop853", _solve_ivp_kernel)
         theirs = integrate(params, mu, State(*start), t_end, **kwargs)
     return ours, theirs
 
@@ -318,7 +319,7 @@ class TestExplicitKernel:
     @staticmethod
     def _kernel_against_loop(rates, y, h):
         f = rates(*y)
-        step, dense = simulator._dop853_stages(len(y))
+        step, dense = _solvers._dop853_stages(len(y))
         new, e5, e3, ks = step(rates, h, y, f)
         want = _stage_loop(rates, h, y, f)
         assert _bits([new, e5, e3, dense(rates, h, y, ks)]) == _bits(list(want))
@@ -359,8 +360,8 @@ class TestExplicitKernel:
                         method="DOP853", rtol=1e-9, atol=1e-11)
         assert sol.status == -1
         with pytest.raises(StiffnessError) as exc:
-            simulator._dop853(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
-                              simulator.SolverStats("DOP853"))
+            _solvers.dop853(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
+                            simulator.SolverStats("DOP853"))
         assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
 
     def test_only_radau_goes_through_solve_ivp(self, hopf_model, hopf_cp, monkeypatch):
@@ -406,6 +407,87 @@ def _switches(traj):
     return [(float(traj.times[i]), float(traj.lams[i]), traj.regimes[i])
             for i in range(1, len(traj.times))
             if traj.regimes[i] != traj.regimes[i - 1]]
+
+
+class TestSharedDriver:
+    # Both steppers take their first step from _solvers.select_initial_step,
+    # scipy's rule for an error estimator of order 7 (DOP853) or 3 (Radau).
+    # numpy's norm rounds differently. The norms agree to a few ulp, but the
+    # rule's d2 differences the rates across a step h0 that may be tiny
+    # against y, which can magnify an ulp of h0: over 20,000 draws from
+    # test_matches_scipy's ranges the two steps differed by at most 29 ulp.
+    @staticmethod
+    def _scipy_step(rates, t0, y0, t_end, order, rtol, atol):
+        from scipy.integrate._ivp.common import select_initial_step
+
+        y = np.array(y0)
+        return float(select_initial_step(lambda t, y: np.array(rates(*y.tolist())), t0, y,
+                                         t_end, np.inf, np.array(rates(*y0)), 1, order,
+                                         rtol, atol))
+
+    @given(n=st.sampled_from([2, 4]), order=st.sampled_from([3, 7]),
+           y=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           scale=st.sampled_from([0.0, 1e-9, 1.0, 1e6]), t_end=st.floats(1e-3, 50.0),
+           rtol=st.sampled_from([1e-11, 1e-9, 1e-6]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, n, order, y, scale, t_end, rtol):
+        # scale 0 is a zero field, the rule's h1 = max(1e-6, h0/1000) branch.
+        def rates(*z):
+            return tuple(scale * r for r in _quadratic(*z))
+
+        y0, atol = tuple(y[:n]), rtol * 1e-2
+        ours = _solvers.select_initial_step(rates, 0.5, y0, rates(*y0), 0.5 + t_end, order,
+                                            rtol, atol)
+        theirs = self._scipy_step(rates, 0.5, y0, 0.5 + t_end, order, rtol, atol)
+        assert ours == pytest.approx(theirs, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [3, 7])
+    def test_matches_scipy_on_the_model(self, hopf_model, order):
+        rates, jac = make_rates(hopf_model, 3.4), make_jacobian(hopf_model, 3.4)
+
+        def flow(theta, lam, u, v):
+            (a, b), (c, d) = jac(None, (theta, lam))
+            return (*rates(theta, lam), a * u + b * v, c * u + d * v)
+
+        for field, y0 in ((rates, (1.432, 0.0742)), (flow, (1.432, 0.0742, 0.0, 1.0))):
+            ours = _solvers.select_initial_step(field, 0.0, y0, field(*y0), 150.0, order,
+                                                1e-9, 1e-11)
+            theirs = self._scipy_step(field, 0.0, y0, 150.0, order, 1e-9, 1e-11)
+            assert ours == pytest.approx(theirs, rel=1e-13)
+
+    def test_overflowing_lap_start_raises_stiffness_error(self):
+        # A lap's state is (theta, lambda) and its variation; the error
+        # carries the first two.
+        with pytest.raises(StiffnessError, match="first-step rule") as exc:
+            _solvers.dop853(lambda *y: (1e300,) * 4, 0.5, (1.43, 0.07, 0.0, 1.0), 2.0,
+                            1e-11, 1e-13, [], simulator.SolverStats("DOP853"))
+        assert exc.value.time == 0.5 and exc.value.state == (1.43, 0.07)
+
+    @pytest.mark.parametrize("method", ["dop853", "radau"])
+    def test_both_methods_share_the_event_loop(self, method):
+        # u = cos t, v = -sin t: u falls through 0 at pi/2 (a hit), and v
+        # rises through 1/2 at 7 pi/6, which ends the run.
+        def falls(t, y):
+            return y[0]
+
+        def rises(t, y):
+            return y[1] - 0.5
+
+        falls.terminal, falls.direction = False, -1
+        rises.terminal, rises.direction = True, 1
+        solve = getattr(_solvers, method)
+        if method == "radau":
+            solve = partial(solve, jac=lambda t, y: ((0.0, 1.0), (-1.0, 0.0)))
+        stats = simulator.SolverStats(method)
+        ts, us, vs, fired, hits = solve(lambda u, v: (v, -u), 0.0, (1.0, 0.0), 10.0, 1e-10,
+                                        1e-12, [falls, rises], stats)
+        assert fired == 1 and stats.events == 2
+        assert ts[-1] == pytest.approx(7 * math.pi / 6, abs=1e-8)
+        assert (us[-1], vs[-1]) == pytest.approx((math.cos(7 * math.pi / 6), 0.5), abs=1e-8)
+        [(i, root, state)] = hits
+        assert i == 0 and root == pytest.approx(math.pi / 2, abs=1e-8)
+        assert state == pytest.approx((0.0, -1.0), abs=1e-8)
+        assert len(ts) == len(us) == len(vs) == stats.steps + 1
 
 
 class TestStiffPath:
@@ -486,8 +568,8 @@ class TestStiffPath:
                         rtol=1e-9, atol=1e-11, jac=jac)
         assert sol.status == -1
         with pytest.raises(StiffnessError, match="less than spacing") as exc:
-            _solvers.radau(rates, jac, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
-                           simulator.SolverStats("Radau"))
+            _solvers.radau(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
+                           simulator.SolverStats("Radau"), jac)
         assert exc.value.time == pytest.approx(float(sol.t[-1]), abs=1e-6)
 
     def test_unusable_iteration_matrix_rejects_steps(self):
@@ -495,8 +577,8 @@ class TestStiffPath:
         # halved down to the floor: a typed error, not a float exception.
         stats = simulator.SolverStats("Radau")
         with pytest.raises(StiffnessError, match="less than spacing"):
-            _solvers.radau(lambda th, la: (-th, -la), lambda t, y: ((math.nan,) * 2,) * 2,
-                           0.0, (1.0, 0.5), 1.0, 1e-9, 1e-11, [], stats)
+            _solvers.radau(lambda th, la: (-th, -la), 0.0, (1.0, 0.5), 1.0, 1e-9, 1e-11, [],
+                           stats, lambda t, y: ((math.nan,) * 2,) * 2)
         assert stats.steps == 0 and stats.rejected > 0
         assert _solvers._factor(1.0, ((1.0, 0.0), (0.0, 0.5))) is None
 
@@ -665,7 +747,7 @@ class TestPoincareCycle:
         mu = factor * hopf_analysis(cp).mu0
         ours = poincare_cycle(params, mu, cp)
         with monkeypatch.context() as m:
-            m.setattr(simulator, "_dop853", _solve_ivp_kernel)
+            m.setattr(_solvers, "dop853", _solve_ivp_kernel)
             theirs = poincare_cycle(params, mu, cp)
         assert ours.laps == theirs.laps
         assert ours.period == pytest.approx(theirs.period, rel=1e-9)
