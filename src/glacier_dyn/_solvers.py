@@ -354,9 +354,9 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 
 def radau(rates, t0, y0, t_end, rtol, atol, events, stats, jac):
-    """scipy's Radau on two floats, with jac(t, y) the field's Jacobian
-    ((a, b), (c, d)), or None for forward differences (their RHS calls count
-    in stats.nfev).
+    """scipy's Radau on two floats, with jac(u, v) the field's Jacobian
+    ((a, b), (c, d)) at the state (u, v), or None for forward differences
+    (their RHS calls count in stats.nfev).
 
     Same Newton iteration and tolerance, Jacobian reuse and
     refactorisation, error estimate and predictive step controller as
@@ -372,7 +372,7 @@ def radau(rates, t0, y0, t_end, rtol, atol, events, stats, jac):
     def jacobian(u, v, fu, fv):
         stats.njev += 1
         if jac is not None:
-            return jac(None, (u, v))
+            return jac(u, v)
         columns = []  # scipy's num_jac without its step refinement
         for i, (x, f) in enumerate(((u, fu), (v, fv))):
             scale = max(atol, abs(x)) * (1.0 if f >= 0 else -1.0)

@@ -200,12 +200,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--t-end must be finite and positive, got {args.t_end}")
     if args.dimensional and scales is None:
         raise ConfigError("--dimensional needs a 'physical' block for the scales")
-    try:
-        initial = State(theta=args.theta0, lam=args.lam0)
-    except Exception as exc:
-        raise ConfigError(f"bad initial state: {exc}") from exc
     kind = ModelKind(args.model)
-    traj = integrate(model, mu, initial, args.t_end, model=kind)
+    traj = integrate(model, mu, State(theta=args.theta0, lam=args.lam0), args.t_end, model=kind)
 
     header = ["tau", "theta", "lambda"]
     if args.dimensional:

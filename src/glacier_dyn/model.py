@@ -2,7 +2,8 @@
 vector field with its Jacobian and regime rule, and nullclines, all as pure
 evaluations. This is the one place the dynamics are written; the simulator
 integrates the rates make_rates builds, with the Jacobian make_jacobian builds
-here.
+here. Each response-curve family is written once, as one entry of the table
+_FAMILIES that sigmoid_eval, make_rates and make_jacobian all read.
 
 The planar system couples a dimensionless global temperature theta with a
 dimensionless ice-sheet extent lambda:
@@ -42,10 +43,9 @@ class SigmoidFamily(enum.Enum):
     PIECEWISE_LINEAR = "piecewise_linear"
 
 
-def _tanh_derivs(t, order: int):
-    """sigma^(order) of the tanh family from t = tanh(x)."""
-    if order == 0:
-        return t
+# Each family's order-1..3 derivative sigma^(order)(z) from (z, sigma(z)),
+# for a float z (math only) or a numpy array z.
+def _tanh_slope(z, t, order: int):
     s = 1.0 - t * t
     if order == 1:
         return s
@@ -54,47 +54,57 @@ def _tanh_derivs(t, order: int):
     return (6.0 * t * t - 2.0) * s
 
 
-def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
-    """Evaluate sigma^(order)(x) for the given family, order in 0..3.
+def _erf_slope(z, s, order: int):
+    gauss = math.exp(-z * z) if isinstance(z, float) else np.exp(-z * z)
+    d1 = (2.0 / math.sqrt(math.pi)) * gauss
+    if order == 1:
+        return d1
+    if order == 2:
+        return -2.0 * z * d1
+    return (4.0 * z * z - 2.0) * d1
 
-    Python scalars go through the math module and give floats; anything else
-    goes through numpy. The piecewise-linear ramp clamp(x, -1, 1) has no
-    derivative exactly at |x| = 1; orders >= 1 there raise
-    NonDifferentiablePoint rather than picking a one-sided value.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
-    scalar = isinstance(x, (float, int))
-    x = float(x) if scalar else np.asarray(x, dtype=float)
-    if family is SigmoidFamily.TANH:
-        return _tanh_derivs(math.tanh(x) if scalar else np.tanh(x), order)
-    if family is SigmoidFamily.LOGISTIC:
-        # 2/(1 + e^-x) - 1 == tanh(x/2), so derivatives scale by 2^-order.
-        half = x / 2.0
-        return _tanh_derivs(math.tanh(half) if scalar else np.tanh(half), order) / 2.0**order
-    if family is SigmoidFamily.ERF:
-        if order == 0:
-            if scalar:
-                return math.erf(x)
-            from scipy.special import erf  # the one array path that needs scipy
 
-            return erf(x)
-        d1 = (2.0 / math.sqrt(math.pi)) * (math.exp(-x * x) if scalar else np.exp(-x * x))
-        if order == 1:
-            return d1
-        if order == 2:
-            return -2.0 * x * d1
-        return (4.0 * x * x - 2.0) * d1
-    # piecewise-linear ramp
-    if order == 0:
-        return min(max(x, -1.0), 1.0) if scalar else np.clip(x, -1.0, 1.0)
-    if np.any(np.abs(x) == 1.0):
+def _ramp_slope(z, s, order: int):
+    # The ramp clamp(z, -1, 1) has no derivative at its kinks, |z| = 1.
+    scalar = isinstance(z, float)
+    if abs(z) == 1.0 if scalar else np.any(np.abs(z) == 1.0):
         raise NonDifferentiablePoint(
             f"piecewise-linear sigmoid has no order-{order} derivative at |x| = 1"
         )
     if scalar:
-        return 1.0 if order == 1 and abs(x) < 1.0 else 0.0
-    return np.where(np.abs(x) < 1.0, 1.0, 0.0) if order == 1 else np.zeros_like(x)
+        return 1.0 if order == 1 and abs(z) < 1.0 else 0.0
+    return np.where(np.abs(z) < 1.0, 1.0, 0.0) if order == 1 else np.zeros_like(z)
+
+
+# The one definition of each family: (sigma on a float, sigma on an array,
+# its order-1..3 derivative from (z, sigma(z))). The logistic 2/(1 + e^-z) - 1
+# is tanh(z/2), so its derivatives are tanh's scaled by 2^-order; the erf
+# array maps math.erf, so arrays and floats agree bit for bit.
+_FAMILIES = {
+    SigmoidFamily.TANH: (math.tanh, np.tanh, _tanh_slope),
+    SigmoidFamily.LOGISTIC: (lambda z: math.tanh(z / 2.0), lambda z: np.tanh(z / 2.0),
+                             lambda z, t, order: _tanh_slope(z, t, order) / 2.0**order),
+    SigmoidFamily.ERF: (math.erf, np.vectorize(math.erf, otypes=[float]), _erf_slope),
+    SigmoidFamily.PIECEWISE_LINEAR: (lambda z: min(max(z, -1.0), 1.0),
+                                     lambda z: np.clip(z, -1.0, 1.0), _ramp_slope),
+}
+
+
+def sigmoid_eval(family: SigmoidFamily, x, order: int = 0):
+    """Evaluate sigma^(order)(x) for the given family, order in 0..3.
+
+    Python scalars go through the math module and give floats; anything else
+    goes through numpy. The piecewise-linear ramp has no derivative exactly
+    at |x| = 1; orders >= 1 there raise NonDifferentiablePoint rather than
+    picking a one-sided value.
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be in 0..3, got {order}")
+    sigma, sigma_array, slope = _FAMILIES[family]
+    scalar = isinstance(x, (float, int))
+    x = float(x) if scalar else np.asarray(x, dtype=float)
+    s = sigma(x) if scalar else sigma_array(x)
+    return s if order == 0 else slope(x, s, order)
 
 
 def bisect(f, a: float, b: float, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100) -> float:
@@ -457,45 +467,18 @@ def regime_of(params: ModelParams, lam: float) -> Regime:
     return Regime.ACCUMULATING if _snow_line(lam, params.epsilon)[0] >= 0 else Regime.STAGNANT
 
 
-# The scalar kernels below compare against these aliases: looking a member up
-# on its Enum class costs about 0.1 us per comparison.
-_TANH, _LOGISTIC, _ERF = SigmoidFamily.TANH, SigmoidFamily.LOGISTIC, SigmoidFamily.ERF
+# make_rates compares against these aliases: looking a member up on its Enum
+# class costs about 0.1 us per comparison.
 _STAGNANT, _NUCLEATION = Regime.STAGNANT, Regime.NUCLEATION
-# sigmoid_eval(family, x, 0) for a float x, bit for bit, as one call.
-_SIGMA = {
-    _TANH: math.tanh,
-    _LOGISTIC: lambda z: math.tanh(z / 2.0),
-    _ERF: math.erf,
-    SigmoidFamily.PIECEWISE_LINEAR: lambda z: min(max(z, -1.0), 1.0),
-}
 
 
-def _response_slope(curve: SigmoidResponse, theta: float) -> tuple[float, float]:
-    """(response_eval(curve, theta, 0), response_eval(curve, theta, 1)) for a
-    float theta, bit for bit, from one evaluation of the family's function."""
-    z = (theta - curve.center) / curve.steepness
-    family = curve.family
-    if family is _TANH:
-        sigma = math.tanh(z)
-        slope = 1.0 - sigma * sigma
-    elif family is _LOGISTIC:
-        sigma = math.tanh(z / 2.0)
-        slope = (1.0 - sigma * sigma) / 2.0
-    elif family is _ERF:
-        sigma = math.erf(z)
-        slope = (2.0 / math.sqrt(math.pi)) * math.exp(-z * z)
-    else:
-        if abs(z) == 1.0:
-            raise NonDifferentiablePoint(
-                "piecewise-linear sigmoid has no order-1 derivative at |x| = 1"
-            )
-        sigma = min(max(z, -1.0), 1.0)
-        slope = 1.0 if abs(z) < 1.0 else 0.0
-    half_span = 0.5 * (curve.limit_plus - curve.limit_minus)
-    return (
-        0.5 * (curve.limit_plus + curve.limit_minus) + half_span * sigma,
-        half_span * slope / curve.steepness,
-    )
+def _curve(curve: SigmoidResponse):
+    """(sigma on a float, its slope, center, steepness, midpoint, half-span):
+    what the field and Jacobian closures read of a response curve, once."""
+    sigma, _, slope = _FAMILIES[curve.family]
+    return (sigma, slope, curve.center, curve.steepness,
+            0.5 * (curve.limit_plus + curve.limit_minus),
+            0.5 * (curve.limit_plus - curve.limit_minus))
 
 
 def make_rates(params: ModelParams, mu: float, regime: Regime | None = None):
@@ -506,13 +489,9 @@ def make_rates(params: ModelParams, mu: float, regime: Regime | None = None):
     in the full one; dtheta/dtau takes lambda unclamped.
 
     This is the one definition of the field. Every parameter is read here,
-    once, so a call costs only its arithmetic; each response is
-    response_eval(curve, theta, 0), bit for bit."""
-    (sa, ca, wa, ma, ha), (sx, cx, wx, mx, hx) = (
-        (_SIGMA[c.family], c.center, c.steepness, 0.5 * (c.limit_plus + c.limit_minus),
-         0.5 * (c.limit_plus - c.limit_minus))
-        for c in (params.albedo, params.accum)
-    )
+    once, so a call costs only its arithmetic; each response takes sigma from
+    its family's entry and is response_eval(curve, theta, 0), bit for bit."""
+    (sa, _, ca, wa, ma, ha), (sx, _, cx, wx, mx, hx) = map(_curve, (params.albedo, params.accum))
     b1, gm, g1 = 1.0 + params.beta, params.gamma, 1.0 - params.gamma
     a1, a2, eps, sqrt = params.alpha1, params.alpha2, params.epsilon, math.sqrt
 
@@ -553,21 +532,24 @@ def make_rhs(params: ModelParams, mu: float, regime: Regime | None = None):
 
 
 def make_jacobian(params: ModelParams, mu: float):
-    """jac(t, y): the analytic Jacobian ((a, b), (c, d)) of the simplified
-    field at any state, for variational equations and Radau (scipy's takes
-    it through np.asarray)."""
-    gm = params.gamma
-    dtheta_dlam = -mu * gm * params.alpha2
+    """jac(theta, lam) -> ((a, b), (c, d)), the analytic Jacobian of the
+    simplified field on floats, unchecked, for Radau's Newton iteration and
+    the shooting laps' variational equation. It is built as make_rates is:
+    every parameter is read here, once, and each curve's value and slope come
+    from its family's entry, response_eval's orders 0 and 1 bit for bit.
+    lambda is clamped at LAMBDA_FLOOR under the root."""
+    (sa, da, ca, wa, _, ha), (sx, dx, cx, wx, mx, hx) = map(_curve, (params.albedo, params.accum))
+    g1, dtheta_dlam, sqrt = 1.0 - params.gamma, -mu * params.gamma * params.alpha2, math.sqrt
 
-    def jac(t, y):
-        theta, lam = float(y[0]), float(y[1])
-        root = math.sqrt(max(lam, LAMBDA_FLOOR))
-        dalb = _response_slope(params.albedo, theta)[1]
-        xi, dxi = _response_slope(params.accum, theta)
-        bracket = (1.0 + xi) * (1.0 - 4.0 * lam) - 1.0
+    def jac(theta, lam):
+        za, zx = (theta - ca) / wa, (theta - cx) / wx
+        sigma = sx(zx)
+        dalb, xi, dxi = ha * da(za, sa(za), 1) / wa, mx + hx * sigma, hx * dx(zx, sigma, 1) / wx
+        root, shrink = sqrt(LAMBDA_FLOOR if lam < LAMBDA_FLOOR else lam), 1.0 - 4.0 * lam
+        bracket = (1.0 + xi) * shrink - 1.0
         return (
-            (-mu * (1.0 + (1.0 - gm) * dalb), dtheta_dlam),
-            (root * (1.0 - 4.0 * lam) * dxi, bracket / (2.0 * root) - 4.0 * root * (1.0 + xi)),
+            (-mu * (1.0 + g1 * dalb), dtheta_dlam),
+            (root * shrink * dxi, bracket / (2.0 * root) - 4.0 * root * (1.0 + xi)),
         )
 
     return jac

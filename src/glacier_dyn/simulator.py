@@ -275,7 +275,7 @@ def _make_lap(params: ModelParams, mu: float, cp: CriticalPoint, cap: float, bud
     spent = [0.0, 0]  # time integrated, laps
 
     def flow(theta, lam, u, v):  # (u, v) = d(theta, lam)/dlam at the start
-        (a, b), (c, d) = jac(None, (theta, lam))
+        (a, b), (c, d) = jac(theta, lam)
         return (*rates(theta, lam), a * u + b * v, c * u + d * v)
 
     def crossing(t, y):

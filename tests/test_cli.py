@@ -687,7 +687,10 @@ class TestOutput:
 def test_closed_form_commands_load_no_scipy(tmp_path):
     # scipy takes most of a second to import; the commands that integrate
     # nothing must not pay for it, whatever a later edit imports at top level.
-    # Nor do they load the package's own steppers, glacier_dyn._solvers.
+    # Nor do they load the package's own steppers, glacier_dyn._solvers. ERF
+    # curves evaluate arrays with math.erf, not scipy.special.erf.
+    erf = ["--set", "model.albedo.family=erf", "--set", "model.accum.family=erf"]
+    configs = [[TABLE1], [FIG2], [HOPF], [HOPF, *erf]]
     script = f"""
 import sys
 from glacier_dyn.cli import build_parser, main
@@ -698,10 +701,10 @@ def loaded():
 
 print(loaded())
 out = {str(tmp_path / "out")!r}
-for params in {[TABLE1, FIG2, HOPF]!r}:
+for params in {configs!r}:
     for argv in (["analyze"], ["verify", "--seed", "0"],
                  ["sweep", "--mu-min", "0.5", "--mu-max", "5", "--mu-steps", "9"]):
-        assert main(argv + ["--params", params, "--out", out]) == 0, argv
+        assert main(argv + ["--params", *params, "--out", out]) == 0, argv
 print(loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

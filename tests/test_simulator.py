@@ -446,7 +446,7 @@ class TestSharedDriver:
         rates, jac = make_rates(hopf_model, 3.4), make_jacobian(hopf_model, 3.4)
 
         def flow(theta, lam, u, v):
-            (a, b), (c, d) = jac(None, (theta, lam))
+            (a, b), (c, d) = jac(theta, lam)
             return (*rates(theta, lam), a * u + b * v, c * u + d * v)
 
         for field, y0 in ((rates, (1.432, 0.0742)), (flow, (1.432, 0.0742, 0.0, 1.0))):
@@ -477,7 +477,7 @@ class TestSharedDriver:
         rises.terminal, rises.direction = True, 1
         solve = getattr(_solvers, method)
         if method == "radau":
-            solve = partial(solve, jac=lambda t, y: ((0.0, 1.0), (-1.0, 0.0)))
+            solve = partial(solve, jac=lambda u, v: ((0.0, 1.0), (-1.0, 0.0)))
         stats = simulator.SolverStats(method)
         ts, us, vs, fired, hits = solve(lambda u, v: (v, -u), 0.0, (1.0, 0.0), 10.0, 1e-10,
                                         1e-12, [falls, rises], stats)
@@ -498,7 +498,7 @@ class TestStiffPath:
         for _ in range(25):
             theta = float(rng.uniform(1.3, 1.55))
             lam = float(rng.uniform(0.005, 0.24))
-            got = jac(0.0, (theta, lam))
+            got = jac(theta, lam)
             fd = fd_jacobian(hopf_model, mu, State(theta, lam))
             want = np.array([[fd.a11, fd.a12], [fd.a21, fd.a22]])
             np.testing.assert_allclose(got, want, rtol=1e-6,
@@ -528,7 +528,8 @@ class TestStiffPath:
     @pytest.mark.parametrize("case", ["table1-seed11-0", "table1-seed11-1", "hopf-mu300"])
     def test_radau_rows_and_counts_match_scipy(self, table1_model, table1_scales,
                                                hopf_model, case):
-        # The second route: scipy's Radau with the same analytic Jacobian.
+        # The second route: scipy's Radau with the same analytic Jacobian,
+        # which takes jac(t, y).
         # Both take the same steps; the two start rounding differently (numpy
         # norms use fused multiply-adds), so the rows are compared on scipy's
         # dense output at our times. Starts: stiff-table1's seed-11 draws.
@@ -539,9 +540,9 @@ class TestStiffPath:
                                 (0.950736146122533, 0.1058300765846871), 0.25),
             "hopf-mu300": (hopf_model, 300.0, (1.40, 0.05), 10.0),
         }[case]
-        traj = integrate(params, mu, State(*start), t_end)
+        traj, jac = integrate(params, mu, State(*start), t_end), make_jacobian(params, mu)
         sol = solve_ivp(make_rhs(params, mu), (0.0, t_end), start, method="Radau",
-                        rtol=1e-9, atol=1e-11, jac=make_jacobian(params, mu),
+                        rtol=1e-9, atol=1e-11, jac=lambda t, y: jac(*y),
                         dense_output=True)
         assert sol.status == 0
         ref = sol.sol(traj.times)
@@ -561,11 +562,11 @@ class TestStiffPath:
         def rates(theta, lam):
             return theta * theta, 0.0
 
-        def jac(t, y):
-            return (2.0 * y[0], 0.0), (0.0, 0.0)
+        def jac(theta, lam):
+            return (2.0 * theta, 0.0), (0.0, 0.0)
 
         sol = solve_ivp(lambda t, y: rates(*y), (0.0, 2.0), (1.0, 0.0), method="Radau",
-                        rtol=1e-9, atol=1e-11, jac=jac)
+                        rtol=1e-9, atol=1e-11, jac=lambda t, y: jac(*y))
         assert sol.status == -1
         with pytest.raises(StiffnessError, match="less than spacing") as exc:
             _solvers.radau(rates, 0.0, (1.0, 0.0), 2.0, 1e-9, 1e-11, [],
@@ -578,7 +579,7 @@ class TestStiffPath:
         stats = simulator.SolverStats("Radau")
         with pytest.raises(StiffnessError, match="less than spacing"):
             _solvers.radau(lambda th, la: (-th, -la), 0.0, (1.0, 0.5), 1.0, 1e-9, 1e-11, [],
-                           stats, lambda t, y: ((math.nan,) * 2,) * 2)
+                           stats, lambda u, v: ((math.nan,) * 2,) * 2)
         assert stats.steps == 0 and stats.rejected > 0
         assert _solvers._factor(1.0, ((1.0, 0.0), (0.0, 0.5))) is None
 
