@@ -120,13 +120,6 @@ def theta_extrema(params: ModelParams) -> tuple[float, float] | None:
     return theta_m, theta_M
 
 
-def _refine_bisect(params: ModelParams, a: float, b: float) -> float:
-    def h(th):
-        return nullcline_f(params, th, 0) - nullcline_g(params, th, 0)
-
-    return bisect(h, a, b, xtol=1e-15)
-
-
 def find_equilibria(
     params: ModelParams,
     theta_range: tuple[float, float] = (0.5, 2.5),
@@ -137,7 +130,8 @@ def find_equilibria(
     Brackets sign changes of h = f - g on a uniform grid and refines each by
     bisection to |h| <= 1e-12. Only crossings with lambda_c strictly inside
     (0, 1/4) are kept. Near-tangencies (|h| < 1e-9 over three adjacent cells
-    with no sign change) are still reported, with a TangencyWarning issued.
+    with no sign change) are still reported, with a TangencyWarning issued,
+    at the point of the run where f' = g', found by bisection.
     """
     lo, hi = theta_range
     if not (0 < lo < hi):
@@ -145,41 +139,42 @@ def find_equilibria(
     if grid_n < 100:
         raise ValueError(f"grid_n must be at least 100, got {grid_n}")
 
+    def gap(th, order=0):
+        return nullcline_f(params, th, order) - nullcline_g(params, th, order)
+
+    def slope_gap(th):
+        return gap(th, 1)
+
     grid = np.linspace(lo, hi, grid_n + 1)
-    h = np.asarray(nullcline_f(params, grid, 0)) - np.asarray(
-        nullcline_g(params, grid, 0)
-    )
+    h = gap(grid)
 
     # Signs, not products of neighbours: a product can overflow, or underflow
     # to 0 and hide a sign change.
     neg, pos = h < 0.0, h > 0.0
     roots = [float(grid[i]) for i in np.flatnonzero(h == 0.0)]
     changes = neg[:-1] & pos[1:] | pos[:-1] & neg[1:]
-    roots += [_refine_bisect(params, grid[i], grid[i + 1]) for i in np.flatnonzero(changes)]
+    roots += [bisect(gap, grid[i], grid[i + 1], xtol=1e-15) for i in np.flatnonzero(changes)]
 
     # Tangency scan: each run of >= 3 quiet cells (|h| small at both ends, no
-    # zero and no sign change) yields one warning and one reported point.
+    # zero and no sign change) yields one warning and one reported point: where
+    # the slopes agree, or the run's end with the smaller |h| if f' - g' keeps
+    # one sign over the run.
     small = np.abs(h) < TANGENCY_TOL
     quiet = small[:-1] & small[1:] & (pos[:-1] & pos[1:] | neg[:-1] & neg[1:])
     edges = np.diff(np.concatenate(([0], quiet.astype(np.int8), [0])))
     for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         if j - i < 3:
             continue
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda th: (nullcline_f(params, th, 0) - nullcline_g(params, th, 0)) ** 2,
-            bounds=(grid[i], grid[j]),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
+        if slope_gap(grid[i]) * slope_gap(grid[j]) <= 0:
+            th = bisect(slope_gap, grid[i], grid[j], xtol=1e-15)
+        else:
+            th = float(grid[i] if abs(h[i]) <= abs(h[j]) else grid[j])
         warnings.warn(
             TangencyWarning(
-                f"nullclines nearly tangent near theta = {res.x:.9g} "
-                f"(|f - g| = {math.sqrt(res.fun):.3g})"
+                f"nullclines nearly tangent near theta = {th:.9g} (|f - g| = {abs(gap(th)):.3g})"
             )
         )
-        roots.append(float(res.x))
+        roots.append(th)
 
     points = []
     for th in sorted(set(roots)):

@@ -11,7 +11,7 @@ comparisons on arbitrary parameter files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .model import (
     bisect,
     lambda0,
     make_rates,
-    make_rhs,
     response_eval,
 )
 from .stability import (
@@ -268,8 +267,10 @@ def grid_max_lambda0(epsilon: float) -> tuple[float, float]:
 
     The maximizer is located by bisecting a finite-difference slope sign
     change (direct maximization of the flat quadratic top only resolves the
-    position to about sqrt(machine eps)); golden-section is the fallback when
-    the grid maximum sits at the boundary.
+    position to about sqrt(machine eps)), with the difference step scaled to
+    the bracket so that the first grid cell is covered too. Where the slope
+    brackets no zero (eps = 0: lambda0 falls from the grid's first point), the
+    grid's own maximum is returned.
     """
     if epsilon <= -0.125:
         raise DomainError(f"eps must exceed -1/8, got {epsilon}")
@@ -278,51 +279,16 @@ def grid_max_lambda0(epsilon: float) -> tuple[float, float]:
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    h = 1e-7
+    h = min(1e-7, 1e-3 * lo)
 
     def slope(lam):
         return (lambda0(lam + h, epsilon) - lambda0(lam - h, epsilon)) / (2.0 * h)
 
-    if lo > 2.0 * h and slope(lo) > 0 > slope(hi):
+    if slope(lo) > 0 > slope(hi):
         lam_max = bisect(slope, lo, hi, xtol=1e-12)
     else:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda lam: -lambda0(lam, epsilon),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        lam_max = float(res.x)
+        lam_max = grid[i]
     return float(lam_max), float(lambda0(lam_max, epsilon))
-
-
-def direct_cycle(
-    params: ModelParams, mu: float, cp: CriticalPoint, t_end: float = 100.0
-) -> tuple[float, float, float]:
-    """(period, amplitude_theta, amplitude_lambda) of the attracting cycle
-    around cp: the second route for simulator.poincare_cycle, too slow for
-    `verify`. Integrates model.make_rhs's field (DOP853) from 1e-3 off cp in
-    theta to t_end and samples the last lap between rising crossings of
-    theta = theta_c at 20,001 points, so it is exact once transients decay.
-    """
-
-    def section(t, y):
-        return y[0] - cp.theta_c
-
-    section.direction = 1
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        make_rhs(params, mu), (0.0, t_end), (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853",
-        rtol=1e-10, atol=1e-12, events=[section], dense_output=True,
-    )
-    if len(sol.t_events[0]) < 2:
-        raise OracleMismatch(f"no lap around theta_c = {cp.theta_c} by tau = {t_end}")
-    t0, t1 = sol.t_events[0][-2:]
-    theta, lam = sol.sol(np.linspace(t0, t1, 20_001))
-    return float(t1 - t0), 0.5 * float(np.ptp(theta)), 0.5 * float(np.ptp(lam))
 
 
 # --- randomized admissible draws (shared by tests and cmd_verify) ---
@@ -413,6 +379,12 @@ class VerificationReport:
         self.checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
 
 
+def _worst(residuals: list[float]) -> float:
+    """The largest residual, or nan if any is not finite: max() keeps
+    whichever of a nan and a number it meets first, so it can drop a nan."""
+    return max(residuals, default=0.0) if all(map(math.isfinite, residuals)) else math.nan
+
+
 def run_verification(
     params: ModelParams, mu: float = 1.0, seed: int = 0, n_draws: int = 50
 ) -> VerificationReport:
@@ -424,24 +396,26 @@ def run_verification(
     rng = np.random.default_rng(seed)
     report = VerificationReport()
 
-    worst = 0.0
+    diffs = []
     for _ in range(n_draws):
         xi, eps = draw_branch_inputs(rng)
         pair = lambda_branches(xi, eps)
         r1, r2 = bisect_lambda_branches(xi, eps)
-        worst = max(worst, abs(pair.lambda1 - r1), abs(pair.lambda2 - r2))
+        diffs += [abs(pair.lambda1 - r1), abs(pair.lambda2 - r2)]
+    worst = _worst(diffs)
     report.add(
         "lambda branches: closed form vs bisection",
         worst <= 1e-10,
         f"worst |diff| = {worst:.3g} over {n_draws} draws",
     )
 
-    worst = 0.0
+    diffs = []
     for _ in range(max(n_draws // 2, 10)):
         eps = rng.uniform(0.001, 0.24)
         lam_cf, val_cf = lambda0_max(eps)
         lam_num, val_num = grid_max_lambda0(eps)
-        worst = max(worst, abs(val_cf - val_num), abs(lam_cf - lam_num))
+        diffs += [abs(val_cf - val_num), abs(lam_cf - lam_num)]
+    worst = _worst(diffs)
     report.add(
         "lambda0 maximum: closed form vs grid search",
         worst <= 1e-8,
@@ -453,18 +427,14 @@ def run_verification(
         report.add("equilibria present in scan range", True, "none found; linearization checks skipped")
         return report
 
-    worst = 0.0
+    diffs = []
     for cp in points:
         jac = jacobian(cp, mu)
         fd = fd_jacobian(params, mu, State(theta=cp.theta_c, lam=cp.lambda_c))
-        scale = max(abs(jac.a11), abs(jac.a12), abs(jac.a21), abs(jac.a22))
-        worst = max(
-            worst,
-            abs(jac.a11 - fd.a11) / scale,
-            abs(jac.a12 - fd.a12) / scale,
-            abs(jac.a21 - fd.a21) / scale,
-            abs(jac.a22 - fd.a22) / scale,
-        )
+        exact, approx = astuple(jac), astuple(fd)
+        scale = max(map(abs, exact))
+        diffs += [abs(a - b) / scale for a, b in zip(exact, approx)]
+    worst = _worst(diffs)
     report.add(
         "jacobian: closed form vs finite differences",
         worst <= 1e-7,
@@ -485,8 +455,9 @@ def run_verification(
         if not (0 < th.mu1 < th.mu0 < th.mu2):
             ok = False
             details.append(f"ordering violated at theta_c = {cp.theta_c:.6g}")
+            continue
         r1, _ = eigenvalues(cp, th.mu0)
-        if abs(r1.real) > 1e-12 * max(1.0, abs(r1.imag)):
+        if not abs(r1.real) <= 1e-12 * max(1.0, abs(r1.imag)):
             ok = False
             details.append(f"nonzero real part {r1.real:.3g} at mu0")
     report.add(
@@ -495,11 +466,12 @@ def run_verification(
         "; ".join(details) if details else f"{len(hopf_points)} Hopf-admissible points",
     )
 
-    worst = 0.0
+    diffs = []
     for cp in hopf_points:
         data = hopf_analysis(cp)
         l1_num = numeric_l1(params, cp)
-        worst = max(worst, abs(data.l1 - l1_num) / max(1.0, abs(data.l1)))
+        diffs.append(abs(data.l1 - l1_num) / max(1.0, abs(data.l1)))
+    worst = _worst(diffs)
     report.add(
         "l1: closed form vs normal-form numerics",
         worst <= 1e-4,

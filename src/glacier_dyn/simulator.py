@@ -66,8 +66,9 @@ _NEWTON_LAPS = 12
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on call. The package's own steppers
-    no longer call it; it stays for callers that use or patch it by name."""
+    """scipy.integrate.solve_ivp, imported on call; scipy comes with the test
+    extra, not the runtime dependencies. The package's own steppers no longer
+    call it; it stays for callers that use or patch it by name."""
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)

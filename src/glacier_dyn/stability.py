@@ -97,8 +97,8 @@ def jacobian(cp: CriticalPoint, mu: float) -> Jacobian2:
     """Linearization [[mu*a2*g*f', -mu*a2*g], [(xi/sqrt(lam))*g', -xi/sqrt(lam)]]."""
     if not cp.lambda_c > 0:
         raise DomainError(f"lambda_c must be positive, got {cp.lambda_c}")
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and positive, got {mu}")
     k = mu * cp.alpha2 * cp.gamma
     b = cp.xi_c / math.sqrt(cp.lambda_c)
     return Jacobian2(a11=k * cp.f1, a12=-k, a21=b * cp.g1, a22=-b)
@@ -144,8 +144,8 @@ def mu_thresholds(cp: CriticalPoint) -> MuThresholds:
 def classify(cp: CriticalPoint, mu: float) -> Classification:
     """Equilibrium type at the given mu, with the interval endpoints closed or
     open exactly as the stability windows prescribe."""
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and positive, got {mu}")
     if is_tangent(cp):
         return Classification.NON_HYPERBOLIC_TANGENCY
     f1, g1 = cp.f1, cp.g1

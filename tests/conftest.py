@@ -7,11 +7,13 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import bisect
 
 import glacier_dyn as gd
-from glacier_dyn.model import nullcline_f, nullcline_g
+from glacier_dyn.model import make_rhs, nullcline_f, nullcline_g
 
 PARAMS_DIR = Path(__file__).resolve().parent.parent / "params"
 
@@ -120,3 +122,28 @@ def tangency_setup(hopf_model):
     cp = gd.critical_point_at(params, 1.432)
     mu0 = cp.xi_c / (params.alpha2 * params.gamma * cp.f1 * math.sqrt(cp.lambda_c))
     return params, cp, mu0
+
+
+def direct_cycle(
+    params: gd.ModelParams, mu: float, cp: gd.CriticalPoint, t_end: float = 100.0
+) -> tuple[float, float, float]:
+    """(period, amplitude_theta, amplitude_lambda) of the attracting cycle
+    around cp: the second route for simulator.poincare_cycle, too slow for
+    `verify`. Integrates model.make_rhs's field (DOP853) from 1e-3 off cp in
+    theta to t_end and samples the last lap between rising crossings of
+    theta = theta_c at 20,001 points, so it is exact once transients decay.
+    """
+
+    def section(t, y):
+        return y[0] - cp.theta_c
+
+    section.direction = 1
+    sol = solve_ivp(
+        make_rhs(params, mu), (0.0, t_end), (cp.theta_c + 1e-3, cp.lambda_c), method="DOP853",
+        rtol=1e-10, atol=1e-12, events=[section], dense_output=True,
+    )
+    if len(sol.t_events[0]) < 2:
+        raise gd.OracleMismatch(f"no lap around theta_c = {cp.theta_c} by tau = {t_end}")
+    t0, t1 = sol.t_events[0][-2:]
+    theta, lam = sol.sol(np.linspace(t0, t1, 20_001))
+    return float(t1 - t0), 0.5 * float(np.ptp(theta)), 0.5 * float(np.ptp(lam))

@@ -11,7 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from glacier_dyn import (
 from glacier_dyn import cli
 from glacier_dyn.cli import build_parser, main
 
-from conftest import PARAMS_DIR
+from conftest import PARAMS_DIR, make_tangency
 
 TABLE1 = str(PARAMS_DIR / "table1.json")
 FIG2 = str(PARAMS_DIR / "fig2.json")
@@ -684,16 +684,23 @@ class TestOutput:
         assert first == second
 
 
-def test_closed_form_commands_load_no_scipy(tmp_path):
+def test_closed_form_commands_load_no_scipy(tmp_path, hopf_model):
     # scipy takes most of a second to import; the commands that integrate
     # nothing must not pay for it, whatever a later edit imports at top level.
     # Nor do they load the package's own steppers, glacier_dyn._solvers. ERF
-    # curves evaluate arrays with math.erf, not scipy.special.erf.
+    # curves evaluate arrays with math.erf, not scipy.special.erf. Nor do a
+    # tangency's refine and the lambda0 maximum near lambda = 0 load scipy.
     erf = ["--set", "model.albedo.family=erf", "--set", "model.accum.family=erf"]
     configs = [[TABLE1], [FIG2], [HOPF], [HOPF, *erf]]
+    tangent = make_tangency(hopf_model, 1.432, 0.05, 1.452, 1.482)
+    tangent = json.dumps(asdict(tangent), default=lambda family: family.value)
     script = f"""
+import json
 import sys
+import warnings
+from glacier_dyn import ModelParams, TangencyWarning, find_equilibria
 from glacier_dyn.cli import build_parser, main
+from glacier_dyn.oracle import grid_max_lambda0
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -705,6 +712,12 @@ for params in {configs!r}:
     for argv in (["analyze"], ["verify", "--seed", "0"],
                  ["sweep", "--mu-min", "0.5", "--mu-max", "5", "--mu-steps", "9"]):
         assert main(argv + ["--params", *params, "--out", out]) == 0, argv
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    find_equilibria(ModelParams.from_dict(json.loads({tangent!r})), theta_range=(1.4319, 1.4321))
+assert [w.category for w in caught] == [TangencyWarning]
+for eps in (0.0, 1e-5, 3e-4):
+    grid_max_lambda0(eps)
 print(loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

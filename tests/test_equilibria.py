@@ -119,7 +119,7 @@ def test_find_equilibria_reports_tangency(hopf_model):
     ]
     assert len(tangency_warnings) == 1
     assert len(points) == 1
-    assert points[0].theta_c == pytest.approx(1.432, abs=1e-6)
+    assert points[0].theta_c == pytest.approx(1.432, abs=1e-12)
 
 
 @pytest.mark.parametrize(

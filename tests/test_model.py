@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import importlib.util
 import json
 import math
 import re
+import sys
 import types
 from dataclasses import FrozenInstanceError, replace
 
@@ -397,6 +399,34 @@ def test_every_export_is_reached():
                    and not re.match(rf"\s*(def|class) {name}\b", line) for line in lines)
     }
     assert unreached == _UNREACHED_EXPORTS
+
+
+def test_imports_match_the_declared_dependencies():
+    # Every import in src, those inside functions too, names the standard
+    # library, the package or a runtime dependency in pyproject.toml. The one
+    # exception is scipy in simulator.solve_ivp, which callers patch by name.
+    tomllib = pytest.importorskip("tomllib")
+    root = PARAMS_DIR.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0].lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | declared | {"glacier_dyn"}
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update((module, scope, a.name.split(".")[0]) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                top = "glacier_dyn" if child.level else child.module.split(".")[0]
+                found.add((module, scope, top))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else scope)
+
+    for path in (root / "src" / "glacier_dyn").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert ("model", None, "numpy") in found
+    assert {f for f in found if f[2] not in allowed} <= {("simulator", "solve_ivp", "scipy")}
 
 
 def test_benchmark_traced_names_resolve():

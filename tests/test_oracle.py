@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ def test_grid_max_lambda0_examples():
     assert value == pytest.approx(closed_val, abs=1e-8)
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-6, 1e-5, 1e-4, 3e-4])
+def test_grid_max_lambda0_in_the_first_grid_cells(eps):
+    # The maximum lies in the grid's first cell, where the slope's difference
+    # step must shrink with the bracket to stay inside (0, 1].
+    lam, value = grid_max_lambda0(eps)
+    closed_lam, closed_val = gd.lambda0_max(eps)
+    assert lam == pytest.approx(closed_lam, abs=5e-10)
+    assert value == pytest.approx(closed_val, abs=1e-15)
+
+
 def test_grid_max_lambda0_domain():
     with pytest.raises(gd.DomainError):
         grid_max_lambda0(-0.2)
@@ -185,3 +196,28 @@ def test_run_verification_all_pass(hopf_model):
     assert len(report.checks) == 5
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names))
+
+
+_NAN_PATCHES = {
+    "lambda branches": ("bisect_lambda_branches", lambda xi, eps: (math.nan, math.nan)),
+    "lambda0 maximum": ("grid_max_lambda0", lambda eps: (math.nan, math.nan)),
+    "jacobian": ("fd_jacobian", lambda *args: gd.Jacobian2(*[math.nan] * 4)),
+    "mu thresholds": ("eigenvalues", lambda cp, mu: (complex(math.nan, 1.0),) * 2),
+    "l1": ("hopf_analysis", lambda cp: replace(gd.hopf_analysis(cp), l1=math.nan)),
+}
+
+
+@pytest.mark.parametrize("check", list(_NAN_PATCHES))
+def test_run_verification_fails_a_nan_residual(hopf_model, monkeypatch, check):
+    # max(0.0, nan) is 0.0 and nan > tol is False: a nan residual must fail
+    # its check and print as nan, not pass as 0.
+    monkeypatch.setattr(gd.oracle, *_NAN_PATCHES[check])
+    report = run_verification(hopf_model, mu=1.0, seed=0, n_draws=20)
+    [failed] = [c for c in report.checks if not c.passed]
+    assert failed.name.startswith(check)
+    assert " nan" in failed.detail
+
+
+def test_run_verification_rejects_infinite_mu(hopf_model):
+    with pytest.raises(gd.DomainError):
+        run_verification(hopf_model, mu=math.inf, n_draws=1)

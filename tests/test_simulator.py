@@ -28,8 +28,10 @@ from glacier_dyn import (
 from glacier_dyn import _solvers, simulator
 from glacier_dyn.errors import DomainError, StiffnessError
 from glacier_dyn.model import lambda0, make_jacobian, make_rates, make_rhs, regime_of
-from glacier_dyn.oracle import direct_cycle, fd_jacobian
+from glacier_dyn.oracle import fd_jacobian
 from glacier_dyn.simulator import ModelKind, Termination, Trajectory
+
+from conftest import direct_cycle
 
 
 # ---------------------------------------------------------------------------

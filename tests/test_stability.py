@@ -52,8 +52,9 @@ def test_jacobian_entries(hopf_cp, hopf_model):
 
 
 def test_jacobian_validation(hopf_cp):
-    with pytest.raises(gd.DomainError):
-        gd.jacobian(hopf_cp, 0.0)
+    for mu in (0.0, math.inf, math.nan):
+        with pytest.raises(gd.DomainError):
+            gd.jacobian(hopf_cp, mu)
     with pytest.raises(gd.DomainError):
         gd.jacobian(_hand_cp(lambda_c=-0.1), 1.0)
 
@@ -208,8 +209,9 @@ def test_classify_tangency_short_circuits(tangency_setup):
 
 
 def test_classify_rejects_nonpositive_mu(hopf_cp):
-    with pytest.raises(gd.DomainError):
-        gd.classify(hopf_cp, 0.0)
+    for mu in (0.0, math.inf, math.nan):
+        with pytest.raises(gd.DomainError):
+            gd.classify(hopf_cp, mu)
 
 
 # ------------------------------------------------------------- Lyapunov / Hopf
